@@ -15,7 +15,6 @@ from .crypto import (
     concat,
     h,
     hash_bytes,
-    random_block,
     split_concat,
     xor,
 )
@@ -49,13 +48,10 @@ from .attacks import (
     AdversaryKnowledge,
     AttackReport,
     Dictionary,
-    ExtractedSecrets,
     GuessResult,
     extract_card,
-    forge_login,
     guess_credentials,
     read_dictionary_file,
-    replay_login,
 )
 from .simulator import (
     ARTIFACT_VERSION,

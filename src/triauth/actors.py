@@ -8,7 +8,7 @@ after which all three parties hold the same session key.
 
 from dataclasses import dataclass
 
-from .crypto import DIGEST_LEN, BlockRng, h, random_block, xor
+from .crypto import DIGEST_LEN, BlockRng, h, xor
 
 
 class ProtocolError(Exception):
@@ -49,7 +49,7 @@ class ControlServer:
 
     @classmethod
     def generate(cls, rng: BlockRng) -> "ControlServer":
-        return cls(x=random_block(rng), y=random_block(rng))
+        return cls(x=rng.next_block(), y=rng.next_block())
 
     @property
     def h_y(self) -> bytes:
@@ -208,7 +208,7 @@ def enroll_user(cs: ControlServer, user_id: bytes, password: bytes, rng: BlockRn
     """Full registration ceremony: draw b, blind the password, obtain a card."""
     if not password:
         raise ValueError("password must be non-empty")
-    b = random_block(rng)
+    b = rng.next_block()
     return register_user(cs, user_id, h(b, password), b)
 
 
@@ -223,7 +223,7 @@ def card_login(
     a_i = h(card.b, password)
     if h(user_id, card.h_y, a_i) != card.c_i:
         raise LocalCheckFailed("identity/password rejected by card")
-    n_i1 = random_block(rng)
+    n_i1 = rng.next_block()
     b_i = xor(card.d_i, h(user_id, a_i))
     f_i = xor(card.h_y, n_i1)
     p_ij = xor(card.e_i, h(card.h_y, n_i1, sid))
@@ -238,7 +238,7 @@ def server_forward(secrets: ServerSecrets, m1: M1, rng: BlockRng) -> tuple[M2, S
     The server performs no check on M1; it cannot, since every M1 field is
     masked with values only the card and the control server know.
     """
-    n_i2 = random_block(rng)
+    n_i2 = rng.next_block()
     k_i = xor(secrets.k_sid_y, n_i2)
     m_i = h(secrets.k_x_y, n_i2)
     return M2(m1=m1, sid=secrets.sid, k_i=k_i, m_i=m_i), ServerSession(n_i2=n_i2, m1=m1)
@@ -260,7 +260,7 @@ def cs_authenticate(cs: ControlServer, m2: M2, rng: BlockRng) -> tuple[M3, CsSes
     a_i = xor(m1.cid_i, h(b_i, m1.f_i, n_i1))
     if h(b_i, a_i, n_i1) != m1.g_i:
         raise UserAuthFailed("login message inconsistent")
-    n_i3 = random_block(rng)
+    n_i3 = rng.next_block()
     nonce_xor = xor(xor(n_i1, n_i2), n_i3)
     h_ab = h(a_i, b_i)
     m3 = M3(

@@ -8,24 +8,16 @@ includes the control server's master secrets.
 
 from dataclasses import dataclass, field
 
-from .actors import M1, CardSession, SmartCard
-from .crypto import BlockRng, h, random_block, xor
+from .actors import SmartCard
+from .crypto import h, xor
 
 
-@dataclass(frozen=True)
-class ExtractedSecrets:
-    """Byte-exact copy of everything stored on a stolen card."""
+def extract_card(card: SmartCard) -> SmartCard:
+    """Read out a card's stored values (the physical-extraction capability).
 
-    c_i: bytes
-    d_i: bytes
-    e_i: bytes
-    h_y: bytes
-    b: bytes
-
-
-def extract_card(card: SmartCard) -> ExtractedSecrets:
-    """Read out a card's stored values (the physical-extraction capability)."""
-    return ExtractedSecrets(c_i=card.c_i, d_i=card.d_i, e_i=card.e_i, h_y=card.h_y, b=card.b)
+    The thief learns every stored value, so what they hold is the card itself.
+    """
+    return card
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ class GuessResult:
         return self.user_id is not None
 
 
-def guess_credentials(extracted: ExtractedSecrets, dictionary: Dictionary) -> GuessResult:
+def guess_credentials(extracted: SmartCard, dictionary: Dictionary) -> GuessResult:
     """Test candidate (id, password) pairs against the stolen card's check value.
 
     Runs the same computation the card itself does at login, entirely
@@ -107,41 +99,6 @@ def guess_credentials(extracted: ExtractedSecrets, dictionary: Dictionary) -> Gu
         if h(user_id, extracted.h_y, a_guess) == extracted.c_i:
             return GuessResult(user_id=user_id, password=password, evaluations=evaluations)
     return GuessResult(user_id=None, password=None, evaluations=evaluations)
-
-
-def forge_login(
-    own: SmartCard | ExtractedSecrets,
-    own_id: bytes,
-    own_password: bytes,
-    target_sid: bytes,
-    rng: BlockRng,
-) -> tuple[M1, CardSession]:
-    """Build a login message for target_sid from the attacker's own card.
-
-    A registered but malicious user needs nothing beyond their own card
-    values and credentials: the resulting M1 is structurally identical to
-    an honest one, and the control server has no way to attribute it.  The
-    returned session state lets the attacker finish the run and compute the
-    session key like any honest card would.
-    """
-    a_t = h(own.b, own_password)
-    b_t = xor(own.d_i, h(own_id, a_t))
-    n_i1 = random_block(rng)
-    f_i = xor(own.h_y, n_i1)
-    p_ij = xor(own.e_i, h(own.h_y, n_i1, target_sid))
-    cid_i = xor(a_t, h(b_t, f_i, n_i1))
-    g_i = h(b_t, a_t, n_i1)
-    return M1(f_i=f_i, g_i=g_i, p_ij=p_ij, cid_i=cid_i), CardSession(a_i=a_t, b_i=b_t, n_i1=n_i1)
-
-
-def replay_login(captured: M1) -> M1:
-    """Re-inject a previously observed login message, byte for byte.
-
-    Nothing in M1 binds it to a session: the server adds its own fresh
-    nonce and the control server checks only M1's internal consistency, so
-    the stale message passes both verifications again.
-    """
-    return M1(f_i=captured.f_i, g_i=captured.g_i, p_ij=captured.p_ij, cid_i=captured.cid_i)
 
 
 class AdversaryKnowledge:
@@ -159,9 +116,6 @@ class AdversaryKnowledge:
     def observe(self, *values: bytes) -> None:
         for value in values:
             self._seen.add(bytes(value))
-
-    def values(self) -> frozenset[bytes]:
-        return frozenset(self._seen)
 
     def knows(self, target: bytes) -> bool:
         if target in self._seen:
@@ -189,21 +143,3 @@ class AttackReport:
     success: bool
     work: int
     recovered: dict = field(default_factory=dict)
-
-    def to_record(self) -> dict:
-        return {
-            "record": "report",
-            "name": self.name,
-            "success": self.success,
-            "work": self.work,
-            "recovered": dict(self.recovered),
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "AttackReport":
-        return cls(
-            name=record["name"],
-            success=bool(record["success"]),
-            work=int(record["work"]),
-            recovered=dict(record["recovered"]),
-        )

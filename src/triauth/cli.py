@@ -101,16 +101,14 @@ def summarize(transcript: Transcript) -> list[str]:
             lines.append(f"[s{outcome.session}] {outcome.party} session key: {outcome.session_key.hex()}")
 
     report = transcript.report
+    keys = transcript.session_keys(1)
+    agree = len(keys) == 3 and len(set(keys.values())) == 1
     if cfg.kind == "honest":
-        keys = transcript.session_keys(1)
-        agree = len(keys) == 3 and len(set(keys.values())) == 1
         lines.append(f"SK agreement: {'yes' if agree else 'no'}")
     elif cfg.kind == "replay":
         lines.append(f"replayed M1 accepted by CS: {'yes' if report.success else 'no'}")
         lines.append(f"adversary knows session key: {report.recovered['adversary_knows_session_key']}")
     elif cfg.kind == "masquerade":
-        keys = transcript.session_keys(1)
-        agree = len(keys) == 3 and len(set(keys.values())) == 1
         lines.append(f"forged M1 accepted by CS: {'yes' if report.success else 'no'}")
         lines.append(f"SK agreement (attacker, server, CS): {'yes' if agree else 'no'}")
     elif cfg.kind == "guess":

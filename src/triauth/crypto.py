@@ -72,8 +72,3 @@ class BlockRng:
         block = hash_bytes(concat(self._key, struct.pack(">Q", self._index)))
         self._index += 1
         return block
-
-
-def random_block(rng: BlockRng) -> bytes:
-    """Draw the next DIGEST_LEN pseudo-random block from a seeded stream."""
-    return rng.next_block()

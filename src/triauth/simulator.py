@@ -14,7 +14,9 @@ final result record.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import attrgetter
+from typing import get_args
 
 from .actors import (
     M1,
@@ -36,42 +38,57 @@ from .actors import (
     server_forward,
     server_verify,
 )
-from .attacks import (
-    AdversaryKnowledge,
-    AttackReport,
-    Dictionary,
-    extract_card,
-    forge_login,
-    guess_credentials,
-    replay_login,
-)
-from .crypto import HASH_NAME, BlockRng, concat, h, random_block, split_concat
+from .attacks import AdversaryKnowledge, AttackReport, Dictionary, extract_card, guess_credentials
+from .crypto import HASH_NAME, BlockRng, concat, h, split_concat
 
 ARTIFACT_NAME = "triauth"
 ARTIFACT_VERSION = "0.1.0"
 
-KINDS = ("honest", "replay", "masquerade", "guess", "mutation")
-ATTACK_KINDS = ("replay", "masquerade", "guess")
+
+# --- wire schema ---------------------------------------------------------
+
+# A login message's wire fields are its actor dataclass's fields in
+# declaration order, with a nested message's fields in its place: M2 carries
+# the four fields of the M1 it forwards first.
+WIRE_MESSAGES = {cls.__name__: cls for cls in (M1, M2, M3, M4)}
+
+
+def _wire_layout(cls, prefix: str = "") -> list[tuple[str, str, str]]:
+    """(field name, attribute path, declaring message) of each wire field, in order."""
+    layout = []
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            layout += _wire_layout(f.type, f"{prefix}{f.name}.")
+        else:
+            layout.append((f.name, prefix + f.name, cls.__name__))
+    return layout
+
+
+_LAYOUTS = {kind: _wire_layout(cls) for kind, cls in WIRE_MESSAGES.items()}
+WIRE_FIELDS = {kind: tuple(name for name, _, _ in layout) for kind, layout in _LAYOUTS.items()}
+_WIRE_VALUES = {kind: attrgetter(*(path for _, path, _ in layout)) for kind, layout in _LAYOUTS.items()}
+# (position, class) of each field of a message that is itself a message.
+_NESTED = {
+    cls: tuple((pos, f.type) for pos, f in enumerate(fields(cls)) if is_dataclass(f.type))
+    for cls in WIRE_MESSAGES.values()
+}
+
+# Which check catches a flipped byte, by the message that declares the field:
+# (abort, party that aborts).  t_i crosses the server unchecked inside M3 and
+# is first verified by the card.
+_CAUGHT_BY = {
+    "M1": ("UserAuthFailed", "cs"),
+    "M2": ("ServerAuthFailed", "cs"),
+    "M3": ("CSAuthFailed", "server"),
+    "M3.t_i": ("CSAuthFailed", "card"),
+    "M4": ("CSAuthFailed", "card"),
+}
 
 # target -> (message kind, field, expected abort, party that aborts)
 MUTATION_TARGETS = {
-    "m1.f_i": ("M1", "f_i", "UserAuthFailed", "cs"),
-    "m1.g_i": ("M1", "g_i", "UserAuthFailed", "cs"),
-    "m1.p_ij": ("M1", "p_ij", "UserAuthFailed", "cs"),
-    "m1.cid_i": ("M1", "cid_i", "UserAuthFailed", "cs"),
-    "m2.f_i": ("M2", "f_i", "UserAuthFailed", "cs"),
-    "m2.g_i": ("M2", "g_i", "UserAuthFailed", "cs"),
-    "m2.p_ij": ("M2", "p_ij", "UserAuthFailed", "cs"),
-    "m2.cid_i": ("M2", "cid_i", "UserAuthFailed", "cs"),
-    "m2.sid": ("M2", "sid", "ServerAuthFailed", "cs"),
-    "m2.k_i": ("M2", "k_i", "ServerAuthFailed", "cs"),
-    "m2.m_i": ("M2", "m_i", "ServerAuthFailed", "cs"),
-    "m3.q_i": ("M3", "q_i", "CSAuthFailed", "server"),
-    "m3.r_i": ("M3", "r_i", "CSAuthFailed", "server"),
-    "m3.v_i": ("M3", "v_i", "CSAuthFailed", "server"),
-    "m3.t_i": ("M3", "t_i", "CSAuthFailed", "card"),
-    "m4.v_i": ("M4", "v_i", "CSAuthFailed", "card"),
-    "m4.t_i": ("M4", "t_i", "CSAuthFailed", "card"),
+    f"{kind.lower()}.{name}": (kind, name, *_CAUGHT_BY.get(f"{owner}.{name}", _CAUGHT_BY[owner]))
+    for kind, layout in _LAYOUTS.items()
+    for name, _, owner in layout
 }
 
 
@@ -81,6 +98,15 @@ class ConfigError(ValueError):
 
 class TranscriptFormatError(ValueError):
     """Transcript text cannot be parsed."""
+
+
+def _utf8_ok(value: str) -> bool:
+    """Whether value can be encoded as UTF-8, that is, holds no lone surrogate."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -99,11 +125,11 @@ class ScenarioConfig:
     tap_server_cs_link: bool = True
 
     def __post_init__(self):
-        if self.mutation_target is not None:
+        if isinstance(self.mutation_target, str):
             object.__setattr__(self, "mutation_target", self.mutation_target.lower())
         if self.dictionary is not None:
             object.__setattr__(
-                self, "dictionary", tuple((i, p) for i, p in self.dictionary)
+                self, "dictionary", tuple(tuple(e) if isinstance(e, list) else e for e in self.dictionary)
             )
 
     def validate(self) -> None:
@@ -111,25 +137,27 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind: {self.kind!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed must be an integer")
-        for name in ("user_id", "password", "sid"):
+        for name in ("user_id", "password", "sid", "attacker_id", "attacker_password"):
             value = getattr(self, name)
-            if not isinstance(value, str) or not value:
+            optional = name.startswith("attacker") and self.kind != "masquerade"
+            if not isinstance(value, str) or not (value or optional):
                 raise ConfigError(f"{name} must be a non-empty string")
-        if self.kind == "masquerade":
-            for name in ("attacker_id", "attacker_password"):
-                value = getattr(self, name)
-                if not isinstance(value, str) or not value:
-                    raise ConfigError(f"{name} must be a non-empty string")
+            if not (value.isascii() or _utf8_ok(value)):
+                raise ConfigError(f"{name} is not valid UTF-8: {value!r}")
+        if not isinstance(self.tap_server_cs_link, bool):
+            raise ConfigError("tap_server_cs_link must be a boolean")
         if self.kind == "guess":
             if not self.dictionary:
                 raise ConfigError("guess scenario requires a dictionary")
             for entry in self.dictionary:
-                if len(entry) != 2 or not all(isinstance(v, str) and v for v in entry):
+                if not isinstance(entry, tuple) or len(entry) != 2 or not all(isinstance(v, str) and v for v in entry):
                     raise ConfigError(f"bad dictionary entry: {entry!r}")
+                if not ((entry[0].isascii() and entry[1].isascii()) or all(map(_utf8_ok, entry))):
+                    raise ConfigError(f"dictionary entry is not valid UTF-8: {entry!r}")
         elif self.dictionary is not None:
             raise ConfigError("dictionary is only valid for guess scenarios")
         if self.kind == "mutation":
-            if self.mutation_target not in MUTATION_TARGETS:
+            if not isinstance(self.mutation_target, str) or self.mutation_target not in MUTATION_TARGETS:
                 raise ConfigError(f"unknown mutation target: {self.mutation_target!r}")
             message_kind = MUTATION_TARGETS[self.mutation_target][0]
             if message_kind in ("M2", "M3") and not self.tap_server_cs_link:
@@ -138,40 +166,16 @@ class ScenarioConfig:
             raise ConfigError("mutation_target is only valid for mutation scenarios")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "user_id": self.user_id,
-            "password": self.password,
-            "sid": self.sid,
-            "attacker_id": self.attacker_id,
-            "attacker_password": self.attacker_password,
-            "dictionary": [list(e) for e in self.dictionary] if self.dictionary else None,
-            "mutation_target": self.mutation_target,
-            "tap_server_cs_link": self.tap_server_cs_link,
-        }
+        return _CODECS[ScenarioConfig].encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """Decode and validate a config object; anything malformed raises ConfigError."""
         if not isinstance(data, dict):
             raise ConfigError("config must be an object")
         try:
-            dictionary = data.get("dictionary")
-            if dictionary is not None:
-                dictionary = tuple((str(i), str(p)) for i, p in dictionary)
-            cfg = cls(
-                kind=data["kind"],
-                seed=data["seed"],
-                user_id=data.get("user_id", "alice"),
-                password=data.get("password", "pw123"),
-                sid=data.get("sid", "server-1"),
-                attacker_id=data.get("attacker_id", "mallory"),
-                attacker_password=data.get("attacker_password", "letmein"),
-                dictionary=dictionary,
-                mutation_target=data.get("mutation_target"),
-                tap_server_cs_link=bool(data.get("tap_server_cs_link", True)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            cfg = _CODECS[cls].decode(data)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         cfg.validate()
         return cfg
@@ -180,51 +184,28 @@ class ScenarioConfig:
 # --- wire encoding -------------------------------------------------------
 
 def encode_message(kind: str, msg) -> bytes:
-    if kind == "M1":
-        return concat(msg.f_i, msg.g_i, msg.p_ij, msg.cid_i)
-    if kind == "M2":
-        return concat(
-            msg.m1.f_i, msg.m1.g_i, msg.m1.p_ij, msg.m1.cid_i, msg.sid, msg.k_i, msg.m_i
-        )
-    if kind == "M3":
-        return concat(msg.q_i, msg.r_i, msg.v_i, msg.t_i)
-    if kind == "M4":
-        return concat(msg.v_i, msg.t_i)
-    raise ValueError(f"not a wire message kind: {kind}")
+    if kind not in WIRE_MESSAGES:
+        raise ValueError(f"not a wire message kind: {kind}")
+    return concat(*_WIRE_VALUES[kind](msg))
+
+
+def _wire_parts(kind: str, payload: bytes) -> list[bytes]:
+    parts = split_concat(payload)
+    if kind not in WIRE_FIELDS or len(parts) != len(WIRE_FIELDS[kind]):
+        raise ValueError(f"payload is not a well-formed {kind}")
+    return parts
+
+
+def _build(cls, parts: list[bytes]):
+    """Rebuild a message from its flat wire fields."""
+    for pos, sub in _NESTED[cls]:
+        width = len(WIRE_FIELDS[sub.__name__])
+        parts[pos:pos + width] = [_build(sub, parts[pos:pos + width])]
+    return cls(*parts)
 
 
 def decode_message(kind: str, payload: bytes):
-    parts = split_concat(payload)
-    if kind == "M1" and len(parts) == 4:
-        return M1(*parts)
-    if kind == "M2" and len(parts) == 7:
-        return M2(m1=M1(*parts[:4]), sid=parts[4], k_i=parts[5], m_i=parts[6])
-    if kind == "M3" and len(parts) == 4:
-        return M3(*parts)
-    if kind == "M4" and len(parts) == 2:
-        return M4(*parts)
-    raise ValueError(f"payload is not a well-formed {kind}")
-
-
-def encode_registration_request(user_id: bytes, a_i: bytes) -> bytes:
-    return concat(user_id, a_i)
-
-
-def encode_card_issue(card: SmartCard) -> bytes:
-    # b never appears here: the holder stores it after issuance.
-    return concat(card.c_i, card.d_i, card.e_i, card.h_y)
-
-
-def _message_fields(kind: str, msg) -> tuple[bytes, ...]:
-    if kind == "M1":
-        return (msg.f_i, msg.g_i, msg.p_ij, msg.cid_i)
-    if kind == "M2":
-        return (msg.m1.f_i, msg.m1.g_i, msg.m1.p_ij, msg.m1.cid_i, msg.sid, msg.k_i, msg.m_i)
-    if kind == "M3":
-        return (msg.q_i, msg.r_i, msg.v_i, msg.t_i)
-    if kind == "M4":
-        return (msg.v_i, msg.t_i)
-    raise ValueError(kind)
+    return _build(WIRE_MESSAGES[kind], _wire_parts(kind, payload))
 
 
 # --- transcript records --------------------------------------------------
@@ -242,32 +223,6 @@ class ChannelEvent:
     action: str   # "none" | "observed" | "dropped" | "injected" | "modified"
     payload: bytes
 
-    def to_record(self) -> dict:
-        return {
-            "record": "event",
-            "step": self.step,
-            "session": self.session,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "kind": self.kind,
-            "channel": self.channel,
-            "action": self.action,
-            "payload": self.payload.hex(),
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ChannelEvent":
-        return cls(
-            step=int(record["step"]),
-            session=int(record["session"]),
-            sender=record["sender"],
-            receiver=record["receiver"],
-            kind=record["kind"],
-            channel=record["channel"],
-            action=record["action"],
-            payload=bytes.fromhex(record["payload"]),
-        )
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -277,24 +232,6 @@ class CheckRecord:
     party: str
     check: str
     ok: bool
-
-    def to_record(self) -> dict:
-        return {
-            "record": "check",
-            "session": self.session,
-            "party": self.party,
-            "check": self.check,
-            "ok": self.ok,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "CheckRecord":
-        return cls(
-            session=int(record["session"]),
-            party=record["party"],
-            check=record["check"],
-            ok=bool(record["ok"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -306,24 +243,6 @@ class PartyOutcome:
     session_key: bytes | None = None
     abort: str | None = None
 
-    def to_record(self) -> dict:
-        record = {"record": "outcome", "session": self.session, "party": self.party}
-        if self.session_key is not None:
-            record["sk"] = self.session_key.hex()
-        if self.abort is not None:
-            record["abort"] = self.abort
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "PartyOutcome":
-        sk = record.get("sk")
-        return cls(
-            session=int(record["session"]),
-            party=record["party"],
-            session_key=bytes.fromhex(sk) if sk is not None else None,
-            abort=record.get("abort"),
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -332,20 +251,109 @@ class ScenarioResult:
     expectations_met: bool
     detail: str
 
-    def to_record(self) -> dict:
-        return {
-            "record": "result",
-            "expectations_met": self.expectations_met,
-            "detail": self.detail,
-        }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "ScenarioResult":
-        return cls(expectations_met=bool(record["expectations_met"]), detail=record["detail"])
+class _Codec:
+    """Converts one record dataclass to and from its JSON object.
+
+    Bytes fields travel as lowercase hex, keys may be renamed, and a codec
+    with omit_none leaves None fields out.  The field spec is computed once.
+    """
+
+    def __init__(self, cls, tag: str | None = None, rename: dict | None = None, omit_none: bool = False):
+        rename = rename or {}
+        self.cls = cls
+        self.tag = tag
+        self._omit_none = omit_none
+        spec = [(f.name, rename.get(f.name, f.name), bytes in (f.type, *get_args(f.type))) for f in fields(cls)]
+        self._keys = tuple(key for _, key, _ in spec)
+        self._values = attrgetter(*(name for name, _, _ in spec))
+        self._renamed = tuple((name, key) for name, key, _ in spec if key != name)
+        self._hex = tuple((name, key) for name, key, is_bytes in spec if is_bytes)
+
+    def encode(self, obj) -> dict:
+        record = dict(zip(self._keys, self._values(obj)))
+        for _, key in self._hex:
+            if record[key] is not None:
+                record[key] = record[key].hex()
+        if self._omit_none:
+            record = {key: value for key, value in record.items() if value is not None}
+        if self.tag is not None:
+            record["record"] = self.tag
+        return record
+
+    def decode(self, record: dict):
+        """Build the dataclass; absent keys take the field default, unknown keys raise TypeError."""
+        kwargs = dict(record)
+        if self.tag is not None:
+            del kwargs["record"]
+        for name, key in self._renamed:
+            if name in kwargs:
+                raise TypeError(f"unexpected key {name!r}")
+            if key in kwargs:
+                kwargs[name] = kwargs.pop(key)
+        for name, _ in self._hex:
+            if kwargs.get(name) is not None:
+                kwargs[name] = bytes.fromhex(kwargs[name])
+        return self.cls(**kwargs)
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_CODECS = {
+    codec.cls: codec
+    for codec in (
+        _Codec(ScenarioConfig),
+        _Codec(ChannelEvent, "event"),
+        _Codec(CheckRecord, "check"),
+        _Codec(PartyOutcome, "outcome", rename={"session_key": "sk"}, omit_none=True),
+        _Codec(AttackReport, "report"),
+        _Codec(ScenarioResult, "result"),
+    )
+}
+_BY_TAG = {codec.tag: codec for codec in _CODECS.values() if codec.tag is not None}
+
+_JSON_OUT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_JSON_IN = json.JSONDecoder()
+
+
+def _loads(line: str, lineno: int) -> dict:
+    try:
+        record = _JSON_IN.decode(line)
+    except json.JSONDecodeError as exc:
+        raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise TranscriptFormatError(f"line {lineno} is not a JSON object")
+    return record
+
+
+def _header(cfg: ScenarioConfig) -> dict:
+    return {
+        "record": "header",
+        "artifact": ARTIFACT_NAME,
+        "version": ARTIFACT_VERSION,
+        "hash": HASH_NAME,
+        "scenario": cfg.kind,
+        "seed": cfg.seed,
+        "config": cfg.to_dict(),
+    }
+
+
+def _decode_header(lines: list[str]) -> ScenarioConfig:
+    """The run a transcript's first line names; raises ConfigError or TranscriptFormatError.
+
+    Every header field must be exactly what a fresh run of that config
+    writes, so a damaged header is reported, never re-run as another scenario.
+    """
+    if not lines or not lines[0].strip():
+        raise TranscriptFormatError("empty transcript")
+    header = _loads(lines[0], 1)
+    if header.get("record") != "header":
+        raise TranscriptFormatError("first record must be the header")
+    if "config" not in header:
+        raise TranscriptFormatError("header lacks a config")
+    cfg = ScenarioConfig.from_dict(header["config"])
+    for key, expected in _header(cfg).items():
+        if key != "config" and header.get(key) != expected:
+            raise TranscriptFormatError(f"header {key} is {header.get(key)!r}, expected {expected!r}")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -359,83 +367,45 @@ class Transcript:
     report: AttackReport | None
     result: ScenarioResult
 
-    def header(self) -> dict:
-        return {
-            "record": "header",
-            "artifact": ARTIFACT_NAME,
-            "version": ARTIFACT_VERSION,
-            "hash": HASH_NAME,
-            "scenario": self.config.kind,
-            "seed": self.config.seed,
-            "config": self.config.to_dict(),
-        }
-
     def to_jsonl(self) -> str:
-        lines = [_dumps(self.header())]
-        lines.extend(_dumps(e.to_record()) for e in self.events)
-        lines.extend(_dumps(c.to_record()) for c in self.checks)
-        lines.extend(_dumps(o.to_record()) for o in self.outcomes)
+        records = [*self.events, *self.checks, *self.outcomes]
         if self.report is not None:
-            lines.append(_dumps(self.report.to_record()))
-        lines.append(_dumps(self.result.to_record()))
+            records.append(self.report)
+        records.append(self.result)
+        lines = [_JSON_OUT.encode(_header(self.config))]
+        lines.extend(_JSON_OUT.encode(_CODECS[type(r)].encode(r)) for r in records)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
         lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise TranscriptFormatError("empty transcript")
-        records = []
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
-        if records[0].get("record") != "header":
-            raise TranscriptFormatError("first record must be the header")
+        found = {tag: [] for tag in _BY_TAG}
         try:
-            config = ScenarioConfig.from_dict(records[0]["config"])
-            events, checks, outcomes = [], [], []
-            report = None
-            result = None
-            for record in records[1:]:
-                tag = record.get("record")
-                if tag == "event":
-                    events.append(ChannelEvent.from_record(record))
-                elif tag == "check":
-                    checks.append(CheckRecord.from_record(record))
-                elif tag == "outcome":
-                    outcomes.append(PartyOutcome.from_record(record))
-                elif tag == "report":
-                    report = AttackReport.from_record(record)
-                elif tag == "result":
-                    result = ScenarioResult.from_record(record)
-                else:
-                    raise TranscriptFormatError(f"unknown record type: {tag!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, TranscriptFormatError):
-                raise
+            config = _decode_header(lines)
+            for lineno, line in enumerate(lines[1:], start=2):
+                record = _loads(line, lineno)
+                codec = _BY_TAG.get(record.get("record"))
+                if codec is None:
+                    raise TranscriptFormatError(f"unknown record type: {record.get('record')!r}")
+                found[codec.tag].append(codec.decode(record))
+        except TranscriptFormatError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise TranscriptFormatError(f"bad record: {exc}") from exc
-        if result is None:
+        if not found["result"]:
             raise TranscriptFormatError("missing result record")
         return cls(
             config=config,
-            events=tuple(events),
-            checks=tuple(checks),
-            outcomes=tuple(outcomes),
-            report=report,
-            result=result,
+            events=tuple(found["event"]),
+            checks=tuple(found["check"]),
+            outcomes=tuple(found["outcome"]),
+            report=found["report"][-1] if found["report"] else None,
+            result=found["result"][-1],
         )
 
     def adversary_view(self) -> tuple[ChannelEvent, ...]:
         """Events the channel adversary can see (open channels only)."""
         return tuple(e for e in self.events if e.channel == "open")
-
-    def party_outcome(self, session: int, party: str) -> PartyOutcome | None:
-        for outcome in self.outcomes:
-            if outcome.session == session and outcome.party == party:
-                return outcome
-        return None
 
     def session_keys(self, session: int) -> dict[str, bytes]:
         return {
@@ -469,13 +439,6 @@ def flip_byte(data: bytes, rng: BlockRng) -> bytes:
     return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
 
 
-def _flip_message_field(kind: str, msg, field_name: str, rng: BlockRng):
-    if kind == "M2" and field_name in ("f_i", "g_i", "p_ij", "cid_i"):
-        inner = replace(msg.m1, **{field_name: flip_byte(getattr(msg.m1, field_name), rng)})
-        return replace(msg, m1=inner)
-    return replace(msg, **{field_name: flip_byte(getattr(msg, field_name), rng)})
-
-
 def adversary_tap(event: ChannelEvent, policy: AdversaryPolicy, rng: BlockRng | None = None) -> ChannelEvent:
     """Apply the adversary's policy to one in-flight event.
 
@@ -489,9 +452,10 @@ def adversary_tap(event: ChannelEvent, policy: AdversaryPolicy, rng: BlockRng | 
     if policy.mode == "modify" and event.kind == policy.target_kind:
         if rng is None:
             raise ValueError("modify policy needs an rng")
-        msg = decode_message(event.kind, event.payload)
-        mutated = _flip_message_field(event.kind, msg, policy.target_field, rng)
-        return replace(event, action="modified", payload=encode_message(event.kind, mutated))
+        parts = _wire_parts(event.kind, event.payload)
+        pos = WIRE_FIELDS[event.kind].index(policy.target_field)
+        parts[pos] = flip_byte(parts[pos], rng)
+        return replace(event, action="modified", payload=concat(*parts))
     if policy.mode not in ("passive", "drop", "modify"):
         raise ValueError(f"unknown adversary mode: {policy.mode!r}")
     return replace(event, action="observed")
@@ -504,20 +468,14 @@ class _Run:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.step = 0
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
         self.knowledge = AdversaryKnowledge()
 
-    def _next_step(self) -> int:
-        step = self.step
-        self.step += 1
-        return step
-
     def record_secure(self, session: int, sender: str, receiver: str, kind: str, payload: bytes) -> None:
         self.events.append(
-            ChannelEvent(self._next_step(), session, sender, receiver, kind, "secure", "none", payload)
+            ChannelEvent(len(self.events), session, sender, receiver, kind, "secure", "none", payload)
         )
 
     def check(self, session: int, party: str, name: str, ok: bool) -> None:
@@ -529,8 +487,14 @@ class _Run:
     def abort(self, session: int, party: str, reason: str) -> None:
         self.outcomes.append(PartyOutcome(session=session, party=party, abort=reason))
 
+    def first_abort(self) -> tuple[str, str] | None:
+        for outcome in self.outcomes:
+            if outcome.abort is not None:
+                return outcome.party, outcome.abort
+        return None
+
     def _observe(self, kind: str, msg, payload: bytes) -> None:
-        self.knowledge.observe(payload, *_message_fields(kind, msg))
+        self.knowledge.observe(payload, *_WIRE_VALUES[kind](msg))
 
     def send(
         self,
@@ -545,9 +509,8 @@ class _Run:
     ):
         """Put a message on an open channel; returns the delivered message or None."""
         payload = encode_message(kind, msg)
-        event = ChannelEvent(
-            self._next_step(), session, sender, receiver, kind, "open", "none", payload
-        )
+        # Every event is logged exactly once, so its step is its index in the log.
+        event = ChannelEvent(len(self.events), session, sender, receiver, kind, "open", "none", payload)
         if injected:
             event = replace(event, action="injected")
             self.events.append(event)
@@ -570,12 +533,28 @@ class _Run:
 
 def _register(run: _Run, cs: ControlServer, party: str, user_id: bytes, password: bytes, rng: BlockRng) -> SmartCard:
     """Registration ceremony over the secure channel, recorded as two events."""
-    b = random_block(rng)
+    b = rng.next_block()
     a_i = h(b, password)
-    run.record_secure(0, party, "cs", "RegistrationRequest", encode_registration_request(user_id, a_i))
+    run.record_secure(0, party, "cs", "RegistrationRequest", concat(user_id, a_i))
     card = register_user(cs, user_id, a_i, b)
-    run.record_secure(0, "cs", party, "CardIssue", encode_card_issue(card))
+    # b never crosses the channel: the holder stores it after issuance.
+    run.record_secure(0, "cs", party, "CardIssue", concat(card.c_i, card.d_i, card.e_i, card.h_y))
     return card
+
+
+@dataclass
+class _Flow:
+    """What one M1..M4 exchange left: the M1 the server received and each party's key."""
+
+    delivered_m1: M1 | None = None
+    sk_cs: bytes | None = None
+    sk_server: bytes | None = None
+    sk_card: bytes | None = None
+
+    @property
+    def agreement(self) -> bool:
+        keys = {self.sk_card, self.sk_server, self.sk_cs}
+        return None not in keys and len(keys) == 1
 
 
 def _auth_flow(
@@ -594,95 +573,199 @@ def _auth_flow(
     m1_sender: str = "user",
     m4_receiver: str = "user",
     injected: bool = False,
-) -> dict:
+) -> _Flow:
     """Drive one M1..M4 exchange, recording checks and outcomes as they happen."""
-    out = {
-        "cs_accepted": False,
-        "server_accepted": False,
-        "card_ok": None,
-        "sk_cs": None,
-        "sk_server": None,
-        "sk_card": None,
-        "cs_session": None,
-        "server_result": None,
-        "delivered_m1": None,
-    }
-    delivered_m1 = run.send(session, m1_sender, "server", "M1", m1, policy, rng_adv, injected=injected)
-    if delivered_m1 is None:
+    flow = _Flow()
+    flow.delivered_m1 = run.send(session, m1_sender, "server", "M1", m1, policy, rng_adv, injected=injected)
+    if flow.delivered_m1 is None:
         run.abort(session, "server", "undelivered:M1")
-        return out
-    out["delivered_m1"] = delivered_m1
+        return flow
 
-    m2, server_session = server_forward(secrets, delivered_m1, rng_server)
+    m2, server_session = server_forward(secrets, flow.delivered_m1, rng_server)
     delivered_m2 = run.send(session, "server", "cs", "M2", m2, policy, rng_adv)
     if delivered_m2 is None:
         run.abort(session, "cs", "undelivered:M2")
-        return out
+        return flow
 
     try:
         m3, cs_session = cs_authenticate(cs, delivered_m2, rng_cs)
     except ServerAuthFailed:
         run.check(session, "cs", "cs_verifies_server", False)
         run.abort(session, "cs", "ServerAuthFailed")
-        return out
+        return flow
     except UserAuthFailed:
         run.check(session, "cs", "cs_verifies_server", True)
         run.check(session, "cs", "cs_verifies_user", False)
         run.abort(session, "cs", "UserAuthFailed")
-        return out
+        return flow
     run.check(session, "cs", "cs_verifies_server", True)
     run.check(session, "cs", "cs_verifies_user", True)
     run.key(session, "cs", cs_session.session_key)
-    out["cs_accepted"] = True
-    out["cs_session"] = cs_session
-    out["sk_cs"] = cs_session.session_key
+    flow.sk_cs = cs_session.session_key
 
     delivered_m3 = run.send(session, "cs", "server", "M3", m3, policy, rng_adv)
     if delivered_m3 is None:
         run.abort(session, "server", "undelivered:M3")
-        return out
+        return flow
 
     try:
         m4, server_result = server_verify(secrets, server_session, delivered_m3)
     except CSAuthFailed:
         run.check(session, "server", "server_verifies_cs", False)
         run.abort(session, "server", "CSAuthFailed")
-        return out
+        return flow
     run.check(session, "server", "server_verifies_cs", True)
     run.key(session, "server", server_result.session_key)
-    out["server_accepted"] = True
-    out["server_result"] = server_result
-    out["sk_server"] = server_result.session_key
+    flow.sk_server = server_result.session_key
 
     delivered_m4 = run.send(session, "server", m4_receiver, "M4", m4, policy, rng_adv)
     if card_session is None:
-        return out
+        return flow
     if delivered_m4 is None:
         run.abort(session, user_party, "undelivered:M4")
-        return out
+        return flow
     try:
         sk_card = card_verify(card_session, delivered_m4)
     except CSAuthFailed:
         run.check(session, user_party, "card_verifies_cs", False)
         run.abort(session, user_party, "CSAuthFailed")
-        return out
+        return flow
     run.check(session, user_party, "card_verifies_cs", True)
     run.key(session, user_party, sk_card)
-    out["card_ok"] = True
-    out["sk_card"] = sk_card
-    return out
+    flow.sk_card = sk_card
+    return flow
 
 
-def _three_way_agreement(flow: dict) -> bool:
-    keys = (flow["sk_card"], flow["sk_server"], flow["sk_cs"])
-    return all(k is not None for k in keys) and len(set(keys)) == 1
+class _Scenario:
+    """One run's actors and seeded streams, with the victim already registered."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        self.rng_cs, self.rng_user, self.rng_server, self.rng_attacker, self.rng_adv = (
+            BlockRng(cfg.seed, label) for label in ("cs", "user", "server", "attacker", "adversary")
+        )
+        self.user_id = cfg.user_id.encode("utf-8")
+        self.password = cfg.password.encode("utf-8")
+        self.sid = cfg.sid.encode("utf-8")
+        self.cs = ControlServer.generate(self.rng_cs)
+        self.secrets = register_server(self.cs, self.sid)
+        self.run = _Run(cfg)
+        self.card = _register(self.run, self.cs, "user", self.user_id, self.password, self.rng_user)
+
+    def exchange(
+        self, session: int, m1: M1, card_session: CardSession | None, policy: AdversaryPolicy = PASSIVE, **roles
+    ) -> _Flow:
+        return _auth_flow(
+            self.run, session, m1, card_session, self.secrets, self.cs,
+            self.rng_server, self.rng_cs, policy, self.rng_adv, **roles,
+        )
+
+    def victim_session(self, user_id: bytes, password: bytes, policy: AdversaryPolicy = PASSIVE) -> _Flow:
+        """Session 1 from the victim's card; an empty flow if the card rejects the credentials."""
+        try:
+            m1, card_session = card_login(self.card, user_id, password, self.sid, self.rng_user)
+        except LocalCheckFailed:
+            self.run.check(1, "card", "card_local_check", False)
+            return _Flow()
+        self.run.check(1, "card", "card_local_check", True)
+        return self.exchange(1, m1, card_session, policy)
 
 
-def _first_abort(run: _Run) -> tuple[str, str] | None:
-    for outcome in run.outcomes:
-        if outcome.abort is not None:
-            return outcome.party, outcome.abort
-    return None
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _honest(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
+    agree = s.victim_session(s.user_id, s.password).agreement
+    abort = s.run.first_abort()
+    detail = "session keys agree" if agree else (
+        f"abort {abort[1]} at {abort[0]}" if abort else "session keys disagree"
+    )
+    return None, ScenarioResult(expectations_met=agree, detail=detail)
+
+
+def _replay(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
+    captured = s.victim_session(s.user_id, s.password).delivered_m1
+    # Nothing in M1 binds it to a session, so the byte-exact copy passes again.
+    flow = s.exchange(2, captured, None, m1_sender="adversary", injected=True)
+    accepted = flow.sk_cs is not None and flow.sk_server is not None
+    knows_sk = flow.sk_cs is not None and s.run.knowledge.knows(flow.sk_cs)
+    report = AttackReport(
+        name="replay", success=accepted, work=1,
+        recovered={"adversary_knows_session_key": _yes(knows_sk)},
+    )
+    detail = (
+        f"replayed M1 accepted by CS and server: {_yes(accepted)}; "
+        f"adversary knows session key: {_yes(knows_sk)}"
+    )
+    return report, ScenarioResult(expectations_met=accepted, detail=detail)
+
+
+def _masquerade(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
+    # The attacker's own card and credentials build an M1 that the control
+    # server cannot tell apart from any other user's login.
+    attacker_id = s.cfg.attacker_id.encode("utf-8")
+    attacker_password = s.cfg.attacker_password.encode("utf-8")
+    card = _register(s.run, s.cs, "attacker", attacker_id, attacker_password, s.rng_attacker)
+    m1, card_session = card_login(card, attacker_id, attacker_password, s.sid, s.rng_attacker)
+    flow = s.exchange(
+        1, m1, card_session,
+        user_party="attacker", m1_sender="attacker", m4_receiver="attacker", injected=True,
+    )
+    report = AttackReport(
+        name="masquerade", success=flow.agreement, work=1,
+        recovered={"shared_session_key": _yes(flow.agreement)},
+    )
+    detail = (
+        f"forged M1 accepted by CS: {_yes(flow.sk_cs is not None)}; "
+        f"attacker, server, and CS share one key: {_yes(flow.agreement)}"
+    )
+    return report, ScenarioResult(expectations_met=flow.agreement, detail=detail)
+
+
+def _guess(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
+    guess = guess_credentials(extract_card(s.card), Dictionary.from_pairs(s.cfg.dictionary))
+    success = guess.found and s.victim_session(guess.user_id, guess.password).agreement
+    recovered = {}
+    if guess.found:
+        recovered = {
+            "user_id": guess.user_id.decode("utf-8", "replace"),
+            "password": guess.password.decode("utf-8", "replace"),
+        }
+    report = AttackReport(name="guess", success=success, work=guess.evaluations, recovered=recovered)
+    if success:
+        detail = f"credentials recovered after {guess.evaluations} evaluations"
+    elif guess.found:
+        detail = f"recovered credentials failed login validation ({guess.evaluations} evaluations)"
+    else:
+        detail = f"credentials not in dictionary ({guess.evaluations} evaluations)"
+    return report, ScenarioResult(expectations_met=success, detail=detail)
+
+
+def _mutation(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
+    target = s.cfg.mutation_target
+    message_kind, field_name, expected_abort, expected_party = MUTATION_TARGETS[target]
+    policy = AdversaryPolicy(mode="modify", target_kind=message_kind, target_field=field_name)
+    s.victim_session(s.user_id, s.password, policy)
+    abort = s.run.first_abort()
+    expected = f"(expected {expected_abort} at {expected_party})"
+    if abort:
+        detail = f"{target}: abort {abort[1]} at {abort[0]} {expected}"
+    else:
+        detail = f"{target}: no abort {expected}"
+    return None, ScenarioResult(expectations_met=abort == (expected_party, expected_abort), detail=detail)
+
+
+# kind -> (scenario, whether it is an attack)
+_SCENARIOS = {
+    "honest": (_honest, False),
+    "replay": (_replay, True),
+    "masquerade": (_masquerade, True),
+    "guess": (_guess, True),
+    "mutation": (_mutation, False),
+}
+KINDS = tuple(_SCENARIOS)
+ATTACK_KINDS = tuple(kind for kind, (_, attack) in _SCENARIOS.items() if attack)
 
 
 def run_scenario(cfg: ScenarioConfig) -> Transcript:
@@ -693,129 +776,9 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     Protocol aborts are recorded in the transcript, never raised.
     """
     cfg.validate()
-    rng_cs = BlockRng(cfg.seed, "cs")
-    rng_user = BlockRng(cfg.seed, "user")
-    rng_server = BlockRng(cfg.seed, "server")
-    rng_attacker = BlockRng(cfg.seed, "attacker")
-    rng_adv = BlockRng(cfg.seed, "adversary")
-
-    user_id = cfg.user_id.encode("utf-8")
-    password = cfg.password.encode("utf-8")
-    sid = cfg.sid.encode("utf-8")
-
-    cs = ControlServer.generate(rng_cs)
-    secrets = register_server(cs, sid)
-    run = _Run(cfg)
-    card = _register(run, cs, "user", user_id, password, rng_user)
-
-    report = None
-    if cfg.kind == "honest":
-        m1, card_session = card_login(card, user_id, password, sid, rng_user)
-        run.check(1, "card", "card_local_check", True)
-        flow = _auth_flow(run, 1, m1, card_session, secrets, cs, rng_server, rng_cs, PASSIVE, rng_adv)
-        agree = _three_way_agreement(flow)
-        abort = _first_abort(run)
-        detail = "session keys agree" if agree else (
-            f"abort {abort[1]} at {abort[0]}" if abort else "session keys disagree"
-        )
-        result = ScenarioResult(expectations_met=agree, detail=detail)
-
-    elif cfg.kind == "replay":
-        m1, card_session = card_login(card, user_id, password, sid, rng_user)
-        run.check(1, "card", "card_local_check", True)
-        flow1 = _auth_flow(run, 1, m1, card_session, secrets, cs, rng_server, rng_cs, PASSIVE, rng_adv)
-        replayed = replay_login(flow1["delivered_m1"])
-        flow2 = _auth_flow(
-            run, 2, replayed, None, secrets, cs, rng_server, rng_cs, PASSIVE, rng_adv,
-            m1_sender="adversary", injected=True,
-        )
-        accepted = flow2["cs_accepted"] and flow2["server_accepted"]
-        knows_sk = flow2["sk_cs"] is not None and run.knowledge.knows(flow2["sk_cs"])
-        report = AttackReport(
-            name="replay",
-            success=accepted,
-            work=1,
-            recovered={"adversary_knows_session_key": "yes" if knows_sk else "no"},
-        )
-        detail = (
-            f"replayed M1 accepted by CS and server: {'yes' if accepted else 'no'}; "
-            f"adversary knows session key: {'yes' if knows_sk else 'no'}"
-        )
-        result = ScenarioResult(expectations_met=accepted, detail=detail)
-
-    elif cfg.kind == "masquerade":
-        attacker_id = cfg.attacker_id.encode("utf-8")
-        attacker_password = cfg.attacker_password.encode("utf-8")
-        attacker_card = _register(run, cs, "attacker", attacker_id, attacker_password, rng_attacker)
-        forged_m1, pseudo_session = forge_login(
-            attacker_card, attacker_id, attacker_password, sid, rng_attacker
-        )
-        flow = _auth_flow(
-            run, 1, forged_m1, pseudo_session, secrets, cs, rng_server, rng_cs, PASSIVE, rng_adv,
-            user_party="attacker", m1_sender="attacker", m4_receiver="attacker", injected=True,
-        )
-        success = flow["cs_accepted"] and _three_way_agreement(flow)
-        report = AttackReport(
-            name="masquerade",
-            success=success,
-            work=1,
-            recovered={"shared_session_key": "yes" if _three_way_agreement(flow) else "no"},
-        )
-        detail = (
-            f"forged M1 accepted by CS: {'yes' if flow['cs_accepted'] else 'no'}; "
-            f"attacker, server, and CS share one key: {'yes' if _three_way_agreement(flow) else 'no'}"
-        )
-        result = ScenarioResult(expectations_met=success, detail=detail)
-
-    elif cfg.kind == "guess":
-        extracted = extract_card(card)
-        dictionary = Dictionary.from_pairs(cfg.dictionary)
-        guess = guess_credentials(extracted, dictionary)
-        validated = False
-        if guess.found:
-            try:
-                m1, card_session = card_login(card, guess.user_id, guess.password, sid, rng_user)
-            except LocalCheckFailed:
-                run.check(1, "card", "card_local_check", False)
-            else:
-                run.check(1, "card", "card_local_check", True)
-                flow = _auth_flow(
-                    run, 1, m1, card_session, secrets, cs, rng_server, rng_cs, PASSIVE, rng_adv
-                )
-                validated = _three_way_agreement(flow)
-        success = guess.found and validated
-        recovered = {}
-        if guess.found:
-            recovered = {
-                "user_id": guess.user_id.decode("utf-8", "replace"),
-                "password": guess.password.decode("utf-8", "replace"),
-            }
-        report = AttackReport(name="guess", success=success, work=guess.evaluations, recovered=recovered)
-        if success:
-            detail = f"credentials recovered after {guess.evaluations} evaluations"
-        elif guess.found:
-            detail = f"recovered credentials failed login validation ({guess.evaluations} evaluations)"
-        else:
-            detail = f"credentials not in dictionary ({guess.evaluations} evaluations)"
-        result = ScenarioResult(expectations_met=success, detail=detail)
-
-    else:  # mutation
-        message_kind, field_name, expected_abort, expected_party = MUTATION_TARGETS[cfg.mutation_target]
-        policy = AdversaryPolicy(mode="modify", target_kind=message_kind, target_field=field_name)
-        m1, card_session = card_login(card, user_id, password, sid, rng_user)
-        run.check(1, "card", "card_local_check", True)
-        _auth_flow(run, 1, m1, card_session, secrets, cs, rng_server, rng_cs, policy, rng_adv)
-        abort = _first_abort(run)
-        met = abort == (expected_party, expected_abort)
-        if abort:
-            detail = (
-                f"{cfg.mutation_target}: abort {abort[1]} at {abort[0]} "
-                f"(expected {expected_abort} at {expected_party})"
-            )
-        else:
-            detail = f"{cfg.mutation_target}: no abort (expected {expected_abort} at {expected_party})"
-        result = ScenarioResult(expectations_met=met, detail=detail)
-
+    scenario = _Scenario(cfg)
+    report, result = _SCENARIOS[cfg.kind][0](scenario)
+    run = scenario.run
     return Transcript(
         config=cfg,
         events=tuple(run.events),
@@ -824,21 +787,6 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         report=report,
         result=result,
     )
-
-
-def _parse_header_config(text: str) -> ScenarioConfig:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise TranscriptFormatError("empty transcript")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TranscriptFormatError(f"header is not JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("record") != "header":
-        raise TranscriptFormatError("first record must be the header")
-    if "config" not in header:
-        raise TranscriptFormatError("header lacks a config")
-    return ScenarioConfig.from_dict(header["config"])
 
 
 def verify_transcript(text: str) -> tuple[int, str]:
@@ -851,7 +799,7 @@ def verify_transcript(text: str) -> tuple[int, str]:
     value deviates, (2, ...) when the transcript cannot be parsed.
     """
     try:
-        cfg = _parse_header_config(text)
+        cfg = _decode_header(text.splitlines())
     except (TranscriptFormatError, ConfigError) as exc:
         return 2, f"malformed transcript: {exc}"
     regenerated = run_scenario(cfg).to_jsonl()

@@ -16,11 +16,9 @@ from triauth import (
     cs_authenticate,
     enroll_user,
     extract_card,
-    forge_login,
     guess_credentials,
     read_dictionary_file,
     register_server,
-    replay_login,
     server_forward,
     server_verify,
 )
@@ -138,7 +136,7 @@ class TestForgeLogin:
         secrets = register_server(cs, b"target-server")
         enroll_user(cs, b"alice", b"pw123", BlockRng(seed, "user"))  # the victim
         attacker_card = enroll_user(cs, b"mallory", b"evilpw", BlockRng(seed, "attacker"))
-        m1, session = forge_login(
+        m1, session = card_login(
             attacker_card, b"mallory", b"evilpw", b"target-server", BlockRng(seed, "forge")
         )
         return cs, secrets, m1, session
@@ -169,7 +167,7 @@ class TestForgeLogin:
         cs = ControlServer.generate(BlockRng(3, "cs"))
         attacker_card = enroll_user(cs, b"mallory", b"evilpw", BlockRng(3, "attacker"))
         own = extract_card(attacker_card)
-        m1, _ = forge_login(own, b"mallory", b"evilpw", b"anywhere", BlockRng(3, "forge"))
+        m1, _ = card_login(own, b"mallory", b"evilpw", b"anywhere", BlockRng(3, "forge"))
         secrets = register_server(cs, b"anywhere")
         m2, _ = server_forward(secrets, m1, BlockRng(3, "server"))
         cs_authenticate(cs, m2, BlockRng(3, "cs2"))
@@ -178,12 +176,12 @@ class TestForgeLogin:
 class TestReplayLogin:
     def test_replayed_m1_is_byte_exact(self):
         run = honest_run(seed=4)
-        replayed = replay_login(run.m1)
+        replayed = run.m1
         assert replayed == run.m1
 
     def test_replay_passes_fresh_verification(self):
         run = honest_run(seed=5)
-        replayed = replay_login(run.m1)
+        replayed = run.m1
         # a brand-new session: fresh server and CS nonces
         m2, server_session = server_forward(run.secrets, replayed, BlockRng(50, "server"))
         m3, cs_session = cs_authenticate(run.cs, m2, BlockRng(50, "cs2"))

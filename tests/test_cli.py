@@ -59,6 +59,12 @@ class TestRunCommand:
     def test_missing_dict_file_is_usage_error(self, tmp_path, capsys):
         assert run_cli("run", "guess", "--dict", str(tmp_path / "nope.tsv")) == 2
 
+    @pytest.mark.parametrize("flag", ["--id", "--password", "--sid", "--attacker-id"])
+    def test_text_that_is_not_utf8_is_usage_error(self, flag, capsys):
+        # a byte that is not UTF-8 reaches argv as a lone surrogate
+        assert run_cli("run", "masquerade", flag, "\udcff") == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
     def test_expect_secure_inverts_attack_exit(self, dict_file, capsys):
         assert run_cli("run", "replay", "--seed", "1", "--expect-secure") == 1
         # attack that fails (victim pair absent) becomes exit 0 under --expect-secure

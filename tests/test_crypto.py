@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triauth import DIGEST_LEN, BlockRng, concat, h, hash_bytes, random_block, split_concat, xor
+from triauth import DIGEST_LEN, BlockRng, concat, h, hash_bytes, split_concat, xor
 
 from oracle import SHA256_ABC, SHA256_EMPTY, ref_parse
 
@@ -108,18 +108,18 @@ class TestBlockRng:
     def test_same_seed_same_sequence(self):
         a = BlockRng(99, "card")
         b = BlockRng(99, "card")
-        assert [random_block(a) for _ in range(10)] == [random_block(b) for _ in range(10)]
+        assert [a.next_block() for _ in range(10)] == [b.next_block() for _ in range(10)]
 
     def test_different_seeds_differ(self):
-        assert random_block(BlockRng(1, "x")) != random_block(BlockRng(2, "x"))
+        assert BlockRng(1, "x").next_block() != BlockRng(2, "x").next_block()
 
     def test_different_labels_differ(self):
-        assert random_block(BlockRng(5, "card")) != random_block(BlockRng(5, "server"))
+        assert BlockRng(5, "card").next_block() != BlockRng(5, "server").next_block()
 
     def test_block_length(self):
-        assert len(random_block(BlockRng(0))) == DIGEST_LEN
+        assert len(BlockRng(0).next_block()) == DIGEST_LEN
 
     def test_no_repeats_in_ten_thousand_draws(self):
         rng = BlockRng(1234, "birthday")
-        draws = {random_block(rng) for _ in range(10_000)}
+        draws = {rng.next_block() for _ in range(10_000)}
         assert len(draws) == 10_000

@@ -264,7 +264,7 @@ class TestAdversaryTap:
             recorder, 1, run.m1, run.card_session, run.secrets, run.cs,
             BlockRng(27, "server2"), BlockRng(27, "cs2"), policy, BlockRng(27, "adv"),
         )
-        assert flow["sk_card"] is None
+        assert flow.sk_card is None
         m4_events = [e for e in recorder.events if e.kind == "M4"]
         assert [e.action for e in m4_events] == ["dropped"]
         card_outcome = [o for o in recorder.outcomes if o.party == "card"]
@@ -295,6 +295,26 @@ class TestVerifyTranscript:
         header = {"record": "header", "config": {"kind": "nope", "seed": 1}}
         text = json.dumps(header) + "\n"
         assert verify_transcript(text)[0] == 2
+        # every other damaged header field is reported, never re-run as a different scenario
+        lines = run_scenario(config("guess", seed=34)).to_jsonl().splitlines(keepends=True)
+        good = json.loads(lines[0])
+        damaged = {
+            "artifact": {**good, "artifact": "other"},
+            "version": {**good, "version": "0.0.0"},
+            "hash": {**good, "hash": "md5"},
+            "missing version": {k: v for k, v in good.items() if k != "version"},
+            "non-string entry": {**good, "config": {**good["config"], "dictionary": [[1, 2]]}},
+            "entry not a pair": {**good, "config": {**good["config"], "dictionary": ["ab"]}},
+            "non-bool tap": {**good, "config": {**good["config"], "tap_server_cs_link": "no"}},
+            "unknown config key": {**good, "config": {**good["config"], "bogus": 1}},
+            "user_id not UTF-8": {**good, "config": {**good["config"], "user_id": "\udcff"}},
+            "entry not UTF-8": {**good, "config": {**good["config"], "dictionary": [["a", "\udcff"]]}},
+        }
+        for name, header in damaged.items():
+            text = "".join([json.dumps(header) + "\n", *lines[1:]])
+            assert verify_transcript(text)[0] == 2, name
+            with pytest.raises(TranscriptFormatError):
+                Transcript.from_jsonl(text)
 
     def test_from_jsonl_rejects_missing_result(self):
         text = run_scenario(config("honest", seed=32)).to_jsonl()
