@@ -9,7 +9,7 @@ includes the control server's master secrets.
 from dataclasses import dataclass, field
 
 from .actors import SmartCard
-from .crypto import h, xor
+from .crypto import h, h_pairs, h_prefix, xor
 
 
 def extract_card(card: SmartCard) -> SmartCard:
@@ -92,13 +92,11 @@ def guess_credentials(extracted: SmartCard, dictionary: Dictionary) -> GuessResu
     equals the stored c_i.  Returns the first match in dictionary order, or
     a not-found result after exhausting the dictionary.
     """
-    evaluations = 0
-    for user_id, password in dictionary:
-        evaluations += 1
-        a_guess = h(extracted.b, password)
-        if h(user_id, extracted.h_y, a_guess) == extracted.c_i:
+    h_b = h_prefix(extracted.b)
+    for evaluations, (user_id, password) in enumerate(dictionary, start=1):
+        if h(user_id, extracted.h_y, h_b(password)) == extracted.c_i:
             return GuessResult(user_id=user_id, password=password, evaluations=evaluations)
-    return GuessResult(user_id=None, password=None, evaluations=evaluations)
+    return GuessResult(user_id=None, password=None, evaluations=len(dictionary))
 
 
 class AdversaryKnowledge:
@@ -120,19 +118,11 @@ class AdversaryKnowledge:
     def knows(self, target: bytes) -> bool:
         if target in self._seen:
             return True
-        seen = list(self._seen)
-        for i, a in enumerate(seen):
-            for b in seen[i + 1:]:
-                if len(a) == len(b) and xor(a, b) == target:
-                    return True
-        for a in seen:
-            if h(a) == target:
+        # xor(a, b) == target exactly when xor(a, target) == b; a is never XORed with itself.
+        for a in self._seen:
+            if h(a) == target or (len(a) == len(target) and (b := xor(a, target)) != a and b in self._seen):
                 return True
-        for a in seen:
-            for b in seen:
-                if h(a, b) == target:
-                    return True
-        return False
+        return target in h_pairs(self._seen)
 
 
 @dataclass(frozen=True)

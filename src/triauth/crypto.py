@@ -10,6 +10,7 @@ import struct
 
 DIGEST_LEN = 32
 HASH_NAME = "sha256"
+_pack_len = struct.Struct(">I").pack
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -30,7 +31,7 @@ def concat(*parts: bytes) -> bytes:
     The prefixes make the encoding injective: concat(b"A", b"B") and
     concat(b"AB") are distinct, unlike raw juxtaposition.
     """
-    return b"".join(struct.pack(">I", len(part)) + part for part in parts)
+    return b"".join([_pack_len(len(part)) + part for part in parts])
 
 
 def split_concat(blob: bytes) -> list[bytes]:
@@ -54,6 +55,26 @@ def h(*parts: bytes) -> bytes:
     if len(parts) == 1:
         return hash_bytes(parts[0])
     return hash_bytes(concat(*parts))
+
+
+def h_pairs(values):
+    """Yield h(a, b) for every ordered pair of values, a-major, hashing each a once."""
+    framed = [_pack_len(len(value)) + value for value in values]
+    for head in map(hashlib.sha256, framed):
+        for tail in framed:
+            pair = head.copy()
+            pair.update(tail)
+            yield pair.digest()
+
+
+def h_prefix(*head: bytes):
+    """Return finish(*tail) == h(*head, *tail), hashing the head once; needs two or more parts in all."""
+    state = hashlib.sha256(concat(*head))
+    def finish(*tail: bytes) -> bytes:
+        pair = state.copy()
+        pair.update(concat(*tail))
+        return pair.digest()
+    return finish
 
 
 class BlockRng:

@@ -776,6 +776,10 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     Protocol aborts are recorded in the transcript, never raised.
     """
     cfg.validate()
+    return _run_validated(cfg)
+
+
+def _run_validated(cfg: ScenarioConfig) -> Transcript:
     scenario = _Scenario(cfg)
     report, result = _SCENARIOS[cfg.kind][0](scenario)
     run = scenario.run
@@ -802,7 +806,7 @@ def verify_transcript(text: str) -> tuple[int, str]:
         cfg = _decode_header(text.splitlines())
     except (TranscriptFormatError, ConfigError) as exc:
         return 2, f"malformed transcript: {exc}"
-    regenerated = run_scenario(cfg).to_jsonl()
+    regenerated = _run_validated(cfg).to_jsonl()
     if regenerated == text:
         return 0, "transcript consistent: matches deterministic re-run"
     return 1, "transcript inconsistent: differs from deterministic re-run"

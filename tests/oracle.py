@@ -37,3 +37,18 @@ def ref_h(*parts: bytes) -> bytes:
 def ref_xor(a: bytes, b: bytes) -> bytes:
     assert len(a) == len(b)
     return bytes(x ^ y for x, y in zip(a, b))
+
+
+def ref_knows(seen, target: bytes) -> bool:
+    """One-step closure by brute force: a member, the XOR of two distinct
+    equal-length members, or the hash of one member or of an ordered pair."""
+    seen = list(dict.fromkeys(seen))
+    if target in seen:
+        return True
+    for i, a in enumerate(seen):
+        for b in seen[i + 1:]:
+            if len(a) == len(b) and ref_xor(a, b) == target:
+                return True
+    if any(ref_h(a) == target for a in seen):
+        return True
+    return any(ref_h(a, b) == target for a in seen for b in seen)

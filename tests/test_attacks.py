@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triauth import (
     AdversaryKnowledge,
@@ -24,7 +26,7 @@ from triauth import (
 )
 
 from helpers import flip, honest_run
-from oracle import ref_h
+from oracle import ref_h, ref_knows, ref_xor
 
 
 @pytest.fixture
@@ -220,3 +222,53 @@ class TestAdversaryKnowledge:
         k.observe(run.m3.q_i, run.m3.r_i, run.m3.v_i, run.m3.t_i)
         k.observe(run.m4.v_i, run.m4.t_i)
         assert not k.knows(run.card_sk)
+
+
+# Observed values of the lengths that matter to the closure: empty, one byte,
+# one digest, and payload-sized (longer than a SHA-256 block).
+observed_values = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=1),
+    st.binary(min_size=32, max_size=32),
+    st.binary(min_size=65, max_size=96),
+)
+
+
+@st.composite
+def closure_queries(draw):
+    """An observed set and a target: a planted hit of each kind, or a near miss."""
+    seen = draw(st.lists(observed_values, min_size=1, max_size=10))
+    a = draw(st.sampled_from(seen))
+    b = draw(st.sampled_from(seen))
+    kind = draw(st.sampled_from([
+        "member", "xor", "h", "h_ab", "h_ba", "h_aa", "zero", "xor_aa", "length_mismatch", "h_aba",
+    ]))
+    if kind == "xor":
+        b = draw(st.binary(min_size=len(a), max_size=len(a)))
+        seen.append(b)
+    target = {
+        "member": lambda: a,
+        "xor": lambda: ref_xor(a, b),
+        "h": lambda: ref_h(a),
+        "h_ab": lambda: ref_h(a, b),
+        "h_ba": lambda: ref_h(b, a),
+        "h_aa": lambda: ref_h(a, a),
+        "zero": lambda: bytes(32),
+        "xor_aa": lambda: ref_xor(a, a),
+        "length_mismatch": lambda: ref_xor(a, b)[:-1] if len(a) == len(b) and a else a + b"\x00",
+        "h_aba": lambda: ref_h(a, b, a),
+    }[kind]()
+    return kind, seen, target
+
+
+class TestKnowsMatchesReference:
+    @settings(max_examples=300)
+    @given(closure_queries())
+    def test_knows_equals_brute_force_closure(self, query):
+        kind, seen, target = query
+        k = AdversaryKnowledge()
+        k.observe(*seen)
+        expected = ref_knows(seen, target)
+        assert k.knows(target) == expected
+        if kind in ("member", "h", "h_ab", "h_ba", "h_aa"):
+            assert expected
