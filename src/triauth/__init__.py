@@ -10,7 +10,6 @@ login message.
 
 from .crypto import (
     DIGEST_LEN,
-    HASH_NAME,
     BlockRng,
     concat,
     h,
@@ -28,7 +27,6 @@ from .actors import (
     CSAuthFailed,
     CsSession,
     LocalCheckFailed,
-    ProtocolError,
     ServerAuthFailed,
     ServerResult,
     ServerSecrets,
@@ -46,9 +44,6 @@ from .actors import (
 )
 from .attacks import (
     AdversaryKnowledge,
-    AttackReport,
-    Dictionary,
-    GuessResult,
     extract_card,
     guess_credentials,
     read_dictionary_file,
@@ -60,11 +55,8 @@ from .simulator import (
     MUTATION_TARGETS,
     AdversaryPolicy,
     ChannelEvent,
-    CheckRecord,
     ConfigError,
-    PartyOutcome,
     ScenarioConfig,
-    ScenarioResult,
     Transcript,
     TranscriptFormatError,
     adversary_tap,

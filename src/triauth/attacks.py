@@ -20,33 +20,6 @@ def extract_card(card: SmartCard) -> SmartCard:
     return card
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    """Finite, ordered list of (identity, password) candidate pairs."""
-
-    entries: tuple[tuple[bytes, bytes], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Dictionary":
-        """Build from (id, password) pairs; str values are encoded as UTF-8."""
-        encoded = []
-        for ident, password in pairs:
-            if isinstance(ident, str):
-                ident = ident.encode("utf-8")
-            if isinstance(password, str):
-                password = password.encode("utf-8")
-            if not ident or not password:
-                raise ValueError("dictionary entries must be non-empty")
-            encoded.append((ident, password))
-        return cls(entries=tuple(encoded))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ...]:
     """Parse a dictionary file: one id<TAB>password pair per line, UTF-8.
 
@@ -84,19 +57,20 @@ class GuessResult:
         return self.user_id is not None
 
 
-def guess_credentials(extracted: SmartCard, dictionary: Dictionary) -> GuessResult:
-    """Test candidate (id, password) pairs against the stolen card's check value.
+def guess_credentials(extracted: SmartCard, candidates) -> GuessResult:
+    """Test candidate (id, password) byte pairs against the stolen card's check value.
 
     Runs the same computation the card itself does at login, entirely
     offline: a candidate matches when h(id || h_y || h(b || password))
-    equals the stored c_i.  Returns the first match in dictionary order, or
-    a not-found result after exhausting the dictionary.
+    equals the stored c_i.  Returns the first match in candidate order, or
+    a not-found result after exhausting the candidates.
     """
     h_b = h_prefix(extracted.b)
-    for evaluations, (user_id, password) in enumerate(dictionary, start=1):
+    evaluations = 0
+    for evaluations, (user_id, password) in enumerate(candidates, start=1):
         if h(user_id, extracted.h_y, h_b(password)) == extracted.c_i:
             return GuessResult(user_id=user_id, password=password, evaluations=evaluations)
-    return GuessResult(user_id=None, password=None, evaluations=len(dictionary))
+    return GuessResult(user_id=None, password=None, evaluations=evaluations)
 
 
 class AdversaryKnowledge:

@@ -71,7 +71,7 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         dictionary = read_dictionary_file(args.dict_path, cross=args.cross)
     if args.kind == "mutation" and not args.mutation_target:
         raise ConfigError("mutation scenario requires --mutate-field")
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         kind=args.kind,
         seed=args.seed,
         user_id=args.user_id,
@@ -83,8 +83,6 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         mutation_target=args.mutation_target if args.kind == "mutation" else None,
         tap_server_cs_link=not args.user_link_only,
     )
-    cfg.validate()
-    return cfg
 
 
 def summarize(transcript: Transcript) -> list[str]:

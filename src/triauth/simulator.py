@@ -38,7 +38,7 @@ from .actors import (
     server_forward,
     server_verify,
 )
-from .attacks import AdversaryKnowledge, AttackReport, Dictionary, extract_card, guess_credentials
+from .attacks import AdversaryKnowledge, AttackReport, extract_card, guess_credentials
 from .crypto import HASH_NAME, BlockRng, concat, h, split_concat
 
 ARTIFACT_NAME = "triauth"
@@ -111,7 +111,7 @@ def _utf8_ok(value: str) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one scenario run."""
+    """Everything needed to reproduce one scenario run; validated when built."""
 
     kind: str
     seed: int
@@ -131,6 +131,7 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "dictionary", tuple(tuple(e) if isinstance(e, list) else e for e in self.dictionary)
             )
+        self.validate()
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -174,11 +175,11 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be an object")
         try:
-            cfg = _CODECS[cls].decode(data)
+            return _CODECS[cls].decode(data)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        cfg.validate()
-        return cfg
 
 
 # --- wire encoding -------------------------------------------------------
@@ -317,7 +318,7 @@ _JSON_IN = json.JSONDecoder()
 def _loads(line: str, lineno: int) -> dict:
     try:
         record = _JSON_IN.decode(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
         raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise TranscriptFormatError(f"line {lineno} is not a JSON object")
@@ -463,8 +464,27 @@ def adversary_tap(event: ChannelEvent, policy: AdversaryPolicy, rng: BlockRng | 
 
 # --- scenario execution ---------------------------------------------------
 
+@dataclass
+class _Flow:
+    """What one M1..M4 exchange left: the M1 the server received and each party's key."""
+
+    delivered_m1: M1 | None = None
+    sk_cs: bytes | None = None
+    sk_server: bytes | None = None
+    sk_card: bytes | None = None
+
+    @property
+    def agreement(self) -> bool:
+        keys = {self.sk_card, self.sk_server, self.sk_cs}
+        return None not in keys and len(keys) == 1
+
+
 class _Run:
-    """Mutable per-run state: event log, checks, outcomes, adversary knowledge."""
+    """One scenario run: its seeded streams and actors, and what it records.
+
+    Building it registers the victim.  It holds the event log, checks,
+    outcomes and the adversary's knowledge.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -472,6 +492,15 @@ class _Run:
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
         self.knowledge = AdversaryKnowledge()
+        self.rng_cs, self.rng_user, self.rng_server, self.rng_attacker, self.rng_adv = (
+            BlockRng(cfg.seed, label) for label in ("cs", "user", "server", "attacker", "adversary")
+        )
+        self.user_id = cfg.user_id.encode("utf-8")
+        self.password = cfg.password.encode("utf-8")
+        self.sid = cfg.sid.encode("utf-8")
+        self.cs = ControlServer.generate(self.rng_cs)
+        self.secrets = register_server(self.cs, self.sid)
+        self.card = self.register("user", self.user_id, self.password, self.rng_user)
 
     def record_secure(self, session: int, sender: str, receiver: str, kind: str, payload: bytes) -> None:
         self.events.append(
@@ -496,6 +525,16 @@ class _Run:
     def _observe(self, kind: str, msg, payload: bytes) -> None:
         self.knowledge.observe(payload, *_WIRE_VALUES[kind](msg))
 
+    def register(self, party: str, user_id: bytes, password: bytes, rng: BlockRng) -> SmartCard:
+        """Registration ceremony over the secure channel, recorded as two events."""
+        b = rng.next_block()
+        a_i = h(b, password)
+        self.record_secure(0, party, "cs", "RegistrationRequest", concat(user_id, a_i))
+        card = register_user(self.cs, user_id, a_i, b)
+        # b never crosses the channel: the holder stores it after issuance.
+        self.record_secure(0, "cs", party, "CardIssue", concat(card.c_i, card.d_i, card.e_i, card.h_y))
+        return card
+
     def send(
         self,
         session: int,
@@ -504,7 +543,6 @@ class _Run:
         kind: str,
         msg,
         policy: AdversaryPolicy,
-        rng_adv: BlockRng,
         injected: bool = False,
     ):
         """Put a message on an open channel; returns the delivered message or None."""
@@ -520,7 +558,7 @@ class _Run:
         if backhaul and not self.cfg.tap_server_cs_link:
             self.events.append(event)
             return msg
-        event = adversary_tap(event, policy, rng_adv)
+        event = adversary_tap(event, policy, self.rng_adv)
         self.events.append(event)
         self._observe(kind, msg, payload)
         if event.action == "dropped":
@@ -530,144 +568,87 @@ class _Run:
             self._observe(kind, delivered, event.payload)
         return delivered
 
-
-def _register(run: _Run, cs: ControlServer, party: str, user_id: bytes, password: bytes, rng: BlockRng) -> SmartCard:
-    """Registration ceremony over the secure channel, recorded as two events."""
-    b = rng.next_block()
-    a_i = h(b, password)
-    run.record_secure(0, party, "cs", "RegistrationRequest", concat(user_id, a_i))
-    card = register_user(cs, user_id, a_i, b)
-    # b never crosses the channel: the holder stores it after issuance.
-    run.record_secure(0, "cs", party, "CardIssue", concat(card.c_i, card.d_i, card.e_i, card.h_y))
-    return card
-
-
-@dataclass
-class _Flow:
-    """What one M1..M4 exchange left: the M1 the server received and each party's key."""
-
-    delivered_m1: M1 | None = None
-    sk_cs: bytes | None = None
-    sk_server: bytes | None = None
-    sk_card: bytes | None = None
-
-    @property
-    def agreement(self) -> bool:
-        keys = {self.sk_card, self.sk_server, self.sk_cs}
-        return None not in keys and len(keys) == 1
-
-
-def _auth_flow(
-    run: _Run,
-    session: int,
-    m1: M1,
-    card_session: CardSession | None,
-    secrets,
-    cs: ControlServer,
-    rng_server: BlockRng,
-    rng_cs: BlockRng,
-    policy: AdversaryPolicy,
-    rng_adv: BlockRng,
-    *,
-    user_party: str = "card",
-    m1_sender: str = "user",
-    m4_receiver: str = "user",
-    injected: bool = False,
-) -> _Flow:
-    """Drive one M1..M4 exchange, recording checks and outcomes as they happen."""
-    flow = _Flow()
-    flow.delivered_m1 = run.send(session, m1_sender, "server", "M1", m1, policy, rng_adv, injected=injected)
-    if flow.delivered_m1 is None:
-        run.abort(session, "server", "undelivered:M1")
-        return flow
-
-    m2, server_session = server_forward(secrets, flow.delivered_m1, rng_server)
-    delivered_m2 = run.send(session, "server", "cs", "M2", m2, policy, rng_adv)
-    if delivered_m2 is None:
-        run.abort(session, "cs", "undelivered:M2")
-        return flow
-
-    try:
-        m3, cs_session = cs_authenticate(cs, delivered_m2, rng_cs)
-    except ServerAuthFailed:
-        run.check(session, "cs", "cs_verifies_server", False)
-        run.abort(session, "cs", "ServerAuthFailed")
-        return flow
-    except UserAuthFailed:
-        run.check(session, "cs", "cs_verifies_server", True)
-        run.check(session, "cs", "cs_verifies_user", False)
-        run.abort(session, "cs", "UserAuthFailed")
-        return flow
-    run.check(session, "cs", "cs_verifies_server", True)
-    run.check(session, "cs", "cs_verifies_user", True)
-    run.key(session, "cs", cs_session.session_key)
-    flow.sk_cs = cs_session.session_key
-
-    delivered_m3 = run.send(session, "cs", "server", "M3", m3, policy, rng_adv)
-    if delivered_m3 is None:
-        run.abort(session, "server", "undelivered:M3")
-        return flow
-
-    try:
-        m4, server_result = server_verify(secrets, server_session, delivered_m3)
-    except CSAuthFailed:
-        run.check(session, "server", "server_verifies_cs", False)
-        run.abort(session, "server", "CSAuthFailed")
-        return flow
-    run.check(session, "server", "server_verifies_cs", True)
-    run.key(session, "server", server_result.session_key)
-    flow.sk_server = server_result.session_key
-
-    delivered_m4 = run.send(session, "server", m4_receiver, "M4", m4, policy, rng_adv)
-    if card_session is None:
-        return flow
-    if delivered_m4 is None:
-        run.abort(session, user_party, "undelivered:M4")
-        return flow
-    try:
-        sk_card = card_verify(card_session, delivered_m4)
-    except CSAuthFailed:
-        run.check(session, user_party, "card_verifies_cs", False)
-        run.abort(session, user_party, "CSAuthFailed")
-        return flow
-    run.check(session, user_party, "card_verifies_cs", True)
-    run.key(session, user_party, sk_card)
-    flow.sk_card = sk_card
-    return flow
-
-
-class _Scenario:
-    """One run's actors and seeded streams, with the victim already registered."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
-        self.rng_cs, self.rng_user, self.rng_server, self.rng_attacker, self.rng_adv = (
-            BlockRng(cfg.seed, label) for label in ("cs", "user", "server", "attacker", "adversary")
-        )
-        self.user_id = cfg.user_id.encode("utf-8")
-        self.password = cfg.password.encode("utf-8")
-        self.sid = cfg.sid.encode("utf-8")
-        self.cs = ControlServer.generate(self.rng_cs)
-        self.secrets = register_server(self.cs, self.sid)
-        self.run = _Run(cfg)
-        self.card = _register(self.run, self.cs, "user", self.user_id, self.password, self.rng_user)
-
     def exchange(
-        self, session: int, m1: M1, card_session: CardSession | None, policy: AdversaryPolicy = PASSIVE, **roles
+        self,
+        session: int,
+        m1: M1,
+        card_session: CardSession | None,
+        policy: AdversaryPolicy = PASSIVE,
+        *,
+        user_party: str = "card",
+        m1_sender: str = "user",
+        m4_receiver: str = "user",
+        injected: bool = False,
     ) -> _Flow:
-        return _auth_flow(
-            self.run, session, m1, card_session, self.secrets, self.cs,
-            self.rng_server, self.rng_cs, policy, self.rng_adv, **roles,
-        )
+        """Drive one M1..M4 exchange, recording checks and outcomes as they happen."""
+        flow = _Flow()
+        flow.delivered_m1 = self.send(session, m1_sender, "server", "M1", m1, policy, injected=injected)
+        if flow.delivered_m1 is None:
+            self.abort(session, "server", "undelivered:M1")
+            return flow
+
+        m2, server_session = server_forward(self.secrets, flow.delivered_m1, self.rng_server)
+        delivered_m2 = self.send(session, "server", "cs", "M2", m2, policy)
+        if delivered_m2 is None:
+            self.abort(session, "cs", "undelivered:M2")
+            return flow
+
+        try:
+            m3, cs_session = cs_authenticate(self.cs, delivered_m2, self.rng_cs)
+        except ServerAuthFailed:
+            self.check(session, "cs", "cs_verifies_server", False)
+            self.abort(session, "cs", "ServerAuthFailed")
+            return flow
+        except UserAuthFailed:
+            self.check(session, "cs", "cs_verifies_server", True)
+            self.check(session, "cs", "cs_verifies_user", False)
+            self.abort(session, "cs", "UserAuthFailed")
+            return flow
+        self.check(session, "cs", "cs_verifies_server", True)
+        self.check(session, "cs", "cs_verifies_user", True)
+        self.key(session, "cs", cs_session.session_key)
+        flow.sk_cs = cs_session.session_key
+
+        delivered_m3 = self.send(session, "cs", "server", "M3", m3, policy)
+        if delivered_m3 is None:
+            self.abort(session, "server", "undelivered:M3")
+            return flow
+
+        try:
+            m4, server_result = server_verify(self.secrets, server_session, delivered_m3)
+        except CSAuthFailed:
+            self.check(session, "server", "server_verifies_cs", False)
+            self.abort(session, "server", "CSAuthFailed")
+            return flow
+        self.check(session, "server", "server_verifies_cs", True)
+        self.key(session, "server", server_result.session_key)
+        flow.sk_server = server_result.session_key
+
+        delivered_m4 = self.send(session, "server", m4_receiver, "M4", m4, policy)
+        if card_session is None:
+            return flow
+        if delivered_m4 is None:
+            self.abort(session, user_party, "undelivered:M4")
+            return flow
+        try:
+            sk_card = card_verify(card_session, delivered_m4)
+        except CSAuthFailed:
+            self.check(session, user_party, "card_verifies_cs", False)
+            self.abort(session, user_party, "CSAuthFailed")
+            return flow
+        self.check(session, user_party, "card_verifies_cs", True)
+        self.key(session, user_party, sk_card)
+        flow.sk_card = sk_card
+        return flow
 
     def victim_session(self, user_id: bytes, password: bytes, policy: AdversaryPolicy = PASSIVE) -> _Flow:
         """Session 1 from the victim's card; an empty flow if the card rejects the credentials."""
         try:
             m1, card_session = card_login(self.card, user_id, password, self.sid, self.rng_user)
         except LocalCheckFailed:
-            self.run.check(1, "card", "card_local_check", False)
+            self.check(1, "card", "card_local_check", False)
             return _Flow()
-        self.run.check(1, "card", "card_local_check", True)
+        self.check(1, "card", "card_local_check", True)
         return self.exchange(1, m1, card_session, policy)
 
 
@@ -675,21 +656,21 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _honest(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
-    agree = s.victim_session(s.user_id, s.password).agreement
-    abort = s.run.first_abort()
+def _honest(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+    agree = run.victim_session(run.user_id, run.password).agreement
+    abort = run.first_abort()
     detail = "session keys agree" if agree else (
         f"abort {abort[1]} at {abort[0]}" if abort else "session keys disagree"
     )
     return None, ScenarioResult(expectations_met=agree, detail=detail)
 
 
-def _replay(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
-    captured = s.victim_session(s.user_id, s.password).delivered_m1
+def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+    captured = run.victim_session(run.user_id, run.password).delivered_m1
     # Nothing in M1 binds it to a session, so the byte-exact copy passes again.
-    flow = s.exchange(2, captured, None, m1_sender="adversary", injected=True)
+    flow = run.exchange(2, captured, None, m1_sender="adversary", injected=True)
     accepted = flow.sk_cs is not None and flow.sk_server is not None
-    knows_sk = flow.sk_cs is not None and s.run.knowledge.knows(flow.sk_cs)
+    knows_sk = flow.sk_cs is not None and run.knowledge.knows(flow.sk_cs)
     report = AttackReport(
         name="replay", success=accepted, work=1,
         recovered={"adversary_knows_session_key": _yes(knows_sk)},
@@ -701,14 +682,14 @@ def _replay(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
     return report, ScenarioResult(expectations_met=accepted, detail=detail)
 
 
-def _masquerade(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
+def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     # The attacker's own card and credentials build an M1 that the control
     # server cannot tell apart from any other user's login.
-    attacker_id = s.cfg.attacker_id.encode("utf-8")
-    attacker_password = s.cfg.attacker_password.encode("utf-8")
-    card = _register(s.run, s.cs, "attacker", attacker_id, attacker_password, s.rng_attacker)
-    m1, card_session = card_login(card, attacker_id, attacker_password, s.sid, s.rng_attacker)
-    flow = s.exchange(
+    attacker_id = run.cfg.attacker_id.encode("utf-8")
+    attacker_password = run.cfg.attacker_password.encode("utf-8")
+    card = run.register("attacker", attacker_id, attacker_password, run.rng_attacker)
+    m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, run.rng_attacker)
+    flow = run.exchange(
         1, m1, card_session,
         user_party="attacker", m1_sender="attacker", m4_receiver="attacker", injected=True,
     )
@@ -723,9 +704,10 @@ def _masquerade(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
     return report, ScenarioResult(expectations_met=flow.agreement, detail=detail)
 
 
-def _guess(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
-    guess = guess_credentials(extract_card(s.card), Dictionary.from_pairs(s.cfg.dictionary))
-    success = guess.found and s.victim_session(guess.user_id, guess.password).agreement
+def _guess(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+    candidates = ((ident.encode("utf-8"), password.encode("utf-8")) for ident, password in run.cfg.dictionary)
+    guess = guess_credentials(extract_card(run.card), candidates)
+    success = guess.found and run.victim_session(guess.user_id, guess.password).agreement
     recovered = {}
     if guess.found:
         recovered = {
@@ -742,12 +724,12 @@ def _guess(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
     return report, ScenarioResult(expectations_met=success, detail=detail)
 
 
-def _mutation(s: _Scenario) -> tuple[AttackReport | None, ScenarioResult]:
-    target = s.cfg.mutation_target
+def _mutation(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+    target = run.cfg.mutation_target
     message_kind, field_name, expected_abort, expected_party = MUTATION_TARGETS[target]
     policy = AdversaryPolicy(mode="modify", target_kind=message_kind, target_field=field_name)
-    s.victim_session(s.user_id, s.password, policy)
-    abort = s.run.first_abort()
+    run.victim_session(run.user_id, run.password, policy)
+    abort = run.first_abort()
     expected = f"(expected {expected_abort} at {expected_party})"
     if abort:
         detail = f"{target}: abort {abort[1]} at {abort[0]} {expected}"
@@ -775,14 +757,8 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     streams, so the same configuration always yields the same transcript.
     Protocol aborts are recorded in the transcript, never raised.
     """
-    cfg.validate()
-    return _run_validated(cfg)
-
-
-def _run_validated(cfg: ScenarioConfig) -> Transcript:
-    scenario = _Scenario(cfg)
-    report, result = _SCENARIOS[cfg.kind][0](scenario)
-    run = scenario.run
+    run = _Run(cfg)
+    report, result = _SCENARIOS[cfg.kind][0](run)
     return Transcript(
         config=cfg,
         events=tuple(run.events),
@@ -806,7 +782,7 @@ def verify_transcript(text: str) -> tuple[int, str]:
         cfg = _decode_header(text.splitlines())
     except (TranscriptFormatError, ConfigError) as exc:
         return 2, f"malformed transcript: {exc}"
-    regenerated = _run_validated(cfg).to_jsonl()
+    regenerated = run_scenario(cfg).to_jsonl()
     if regenerated == text:
         return 0, "transcript consistent: matches deterministic re-run"
     return 1, "transcript inconsistent: differs from deterministic re-run"

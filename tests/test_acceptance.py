@@ -17,7 +17,6 @@ from triauth import (
     BlockRng,
     ControlServer,
     CSAuthFailed,
-    Dictionary,
     ScenarioConfig,
     ServerAuthFailed,
     UserAuthFailed,
@@ -176,7 +175,8 @@ def test_offline_guess_recovery_100_trials():
         k = rnd.randrange(1000)
         entries = [(f"u{trial}.{i}", f"p{trial}.{i}") for i in range(999)]
         entries.insert(k, (user_id, password))
-        result = guess_credentials(extract_card(card), Dictionary.from_pairs(entries))
+        candidates = [(i.encode("utf-8"), p.encode("utf-8")) for i, p in entries]
+        result = guess_credentials(extract_card(card), candidates)
         ok = (
             result.found
             and result.evaluations == k + 1

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from triauth import (
     AdversaryKnowledge,
     BlockRng,
+    ConfigError,
     ControlServer,
-    Dictionary,
+    ScenarioConfig,
     UserAuthFailed,
     card_login,
     card_verify,
@@ -27,6 +28,10 @@ from triauth import (
 
 from helpers import flip, honest_run
 from oracle import ref_h, ref_knows, ref_xor
+
+
+def encoded(pairs):
+    return [(ident.encode("utf-8"), password.encode("utf-8")) for ident, password in pairs]
 
 
 @pytest.fixture
@@ -65,8 +70,6 @@ class TestDictionary:
         path.write_text("bob\tx1\nalice\tpw123\neve\tz9\n", encoding="utf-8")
         pairs = read_dictionary_file(path)
         assert pairs == (("bob", "x1"), ("alice", "pw123"), ("eve", "z9"))
-        d = Dictionary.from_pairs(pairs)
-        assert list(d) == [(b"bob", b"x1"), (b"alice", b"pw123"), (b"eve", b"z9")]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "dict.tsv"
@@ -86,8 +89,8 @@ class TestDictionary:
         assert pairs == (("u1", "p1"), ("u1", "p2"), ("u2", "p1"), ("u2", "p2"))
 
     def test_empty_entry_rejected(self):
-        with pytest.raises(ValueError):
-            Dictionary.from_pairs([("", "pw")])
+        with pytest.raises(ConfigError):
+            ScenarioConfig(kind="guess", seed=1, dictionary=(("", "pw"),))
 
 
 class TestGuessCredentials:
@@ -95,24 +98,29 @@ class TestGuessCredentials:
         ex = extract_card(victim_card)
         decoys = [(f"user{i}", f"pass{i}") for i in range(99)]
         entries = decoys[:40] + [("alice", "pw123")] + decoys[40:]
-        result = guess_credentials(ex, Dictionary.from_pairs(entries))
+        result = guess_credentials(ex, encoded(entries))
         assert result.found
         assert (result.user_id, result.password) == (b"alice", b"pw123")
         assert result.evaluations == 41
 
     def test_recovered_pair_logs_in(self, cs, victim_card):
         ex = extract_card(victim_card)
-        result = guess_credentials(
-            ex, Dictionary.from_pairs([("x", "y"), ("alice", "pw123")])
-        )
+        result = guess_credentials(ex, encoded([("x", "y"), ("alice", "pw123")]))
         m1, _ = card_login(victim_card, result.user_id, result.password, b"sid", BlockRng(0, "login"))
         assert m1 is not None
 
     def test_exhausted_dictionary_reports_not_found(self, victim_card):
         ex = extract_card(victim_card)
-        result = guess_credentials(ex, Dictionary.from_pairs([("a", "b"), ("c", "d")]))
+        result = guess_credentials(ex, encoded([("a", "b"), ("c", "d")]))
         assert not result.found
         assert result.evaluations == 2
+
+    def test_lazy_candidates_counted_without_a_length(self, victim_card):
+        ex = extract_card(victim_card)
+        assert guess_credentials(ex, iter(())) == guess_credentials(ex, [])
+        assert guess_credentials(ex, []).evaluations == 0
+        lazy = guess_credentials(ex, (pair for pair in encoded([("a", "b"), ("alice", "pw123")])))
+        assert (lazy.user_id, lazy.password, lazy.evaluations) == (b"alice", b"pw123", 2)
 
     def test_soundness_over_randomized_scenarios(self):
         # whenever the true pair is present, exactly it is recovered
@@ -126,7 +134,7 @@ class TestGuessCredentials:
             k = rnd.randrange(size)
             entries = [(f"u{trial}-{i}", f"p{trial}-{i}") for i in range(size - 1)]
             entries.insert(k, (user_id, password))
-            result = guess_credentials(extract_card(card), Dictionary.from_pairs(entries))
+            result = guess_credentials(extract_card(card), encoded(entries))
             assert result.found
             assert result.evaluations == k + 1
             assert (result.user_id, result.password) == (user_id.encode(), password.encode())

@@ -1,7 +1,13 @@
 """Command-line behaviour: summaries, exit codes, transcript files."""
 
-import pytest
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triauth import KINDS
 from triauth.cli import main
 
 
@@ -130,3 +136,24 @@ class TestVerifyCommand:
             out = str(tmp_path / f"{kind}.log")
             assert run_cli("run", kind, "--seed", "5", "--out", out, *extra) == 0
             assert run_cli("verify", out) == 0, kind
+
+
+# Flags whose text is fuzzed.  --out and --dict are left out, so no file is written or read.
+FUZZED_FLAGS = ("--seed", "--id", "--password", "--sid", "--attacker-id", "--mutate-field")
+
+
+class TestRunNeverRaises:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        values=st.dictionaries(
+            st.sampled_from(FUZZED_FLAGS),
+            st.one_of(st.integers().map(str), st.text(st.characters(exclude_categories=()))),
+        ),
+    )
+    def test_exit_code_is_0_1_or_2(self, kind, values):
+        # Lone surrogates stand for argv bytes that are not UTF-8.  --flag=value
+        # keeps a value that starts with "-" from being read as another flag.
+        argv = ["run", kind, *(f"{flag}={value}" for flag, value in values.items())]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

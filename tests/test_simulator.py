@@ -1,8 +1,11 @@
 """Scenario runner tests: determinism, transcripts, adversary hooks."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triauth import (
     MUTATION_TARGETS,
@@ -38,6 +41,13 @@ class TestScenarioConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="nope", seed=1).validate()
+        with pytest.raises(ConfigError):
+            dataclasses.replace(config("honest"), kind="nope")
+
+    def test_non_integer_seed_rejected(self):
+        # a config is validated when built, so replace() cannot make an invalid one
+        with pytest.raises(ConfigError):
+            dataclasses.replace(config("honest"), seed="1")
 
     def test_guess_requires_dictionary(self):
         with pytest.raises(ConfigError):
@@ -255,19 +265,15 @@ class TestAdversaryTap:
 
     def test_dropped_m4_aborts_the_card_session(self):
         # dropping is not a CLI scenario kind; drive the flow machinery directly
-        from triauth.simulator import _auth_flow, _Run
+        from triauth.simulator import _Run
 
-        run = honest_run(seed=27)
-        recorder = _Run(config("honest", seed=27))
+        run = _Run(config("honest", seed=27))
         policy = AdversaryPolicy(mode="drop", target_kind="M4")
-        flow = _auth_flow(
-            recorder, 1, run.m1, run.card_session, run.secrets, run.cs,
-            BlockRng(27, "server2"), BlockRng(27, "cs2"), policy, BlockRng(27, "adv"),
-        )
+        flow = run.victim_session(run.user_id, run.password, policy)
         assert flow.sk_card is None
-        m4_events = [e for e in recorder.events if e.kind == "M4"]
+        m4_events = [e for e in run.events if e.kind == "M4"]
         assert [e.action for e in m4_events] == ["dropped"]
-        card_outcome = [o for o in recorder.outcomes if o.party == "card"]
+        card_outcome = [o for o in run.outcomes if o.party == "card"]
         assert card_outcome and card_outcome[0].abort == "undelivered:M4"
 
 
@@ -294,7 +300,7 @@ class TestVerifyTranscript:
     def test_header_with_bad_config_is_malformed(self):
         header = {"record": "header", "config": {"kind": "nope", "seed": 1}}
         text = json.dumps(header) + "\n"
-        assert verify_transcript(text)[0] == 2
+        assert verify_transcript(text) == (2, "malformed transcript: unknown scenario kind: 'nope'")
         # every other damaged header field is reported, never re-run as a different scenario
         lines = run_scenario(config("guess", seed=34)).to_jsonl().splitlines(keepends=True)
         good = json.loads(lines[0])
@@ -316,11 +322,54 @@ class TestVerifyTranscript:
             with pytest.raises(TranscriptFormatError):
                 Transcript.from_jsonl(text)
 
+    def test_header_integer_past_digit_limit_is_malformed(self):
+        # json.dumps cannot write such an int either, so the line is built as text
+        text = run_scenario(config("honest", seed=1)).to_jsonl()
+        huge = text.replace('"seed":1', '"seed":' + "7" * 5000)
+        assert huge != text
+        assert verify_transcript(huge)[0] == 2
+        with pytest.raises(TranscriptFormatError):
+            Transcript.from_jsonl(huge)
+
     def test_from_jsonl_rejects_missing_result(self):
         text = run_scenario(config("honest", seed=32)).to_jsonl()
         trimmed = "\n".join(text.splitlines()[:-1]) + "\n"
         with pytest.raises(TranscriptFormatError):
             Transcript.from_jsonl(trimmed)
+
+
+@st.composite
+def edited_transcripts(draw):
+    """An honest or guess transcript after a few edits.
+
+    Characters are replaced, inserted or deleted anywhere, or a run of up to
+    5000 digits, which can pass the interpreter's 4300-digit int-string
+    limit, goes in front of a header value, where JSON reads it as a number.
+    """
+    text = run_scenario(config(draw(st.sampled_from(["honest", "guess"])), seed=35)).to_jsonl()
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "digit run"]))
+        if edit == "digit run":
+            header = text.partition("\n")[0]
+            pos = draw(st.sampled_from([0] + [i + 1 for i, c in enumerate(header) if c == ":"]))
+            text = text[:pos] + draw(st.sampled_from("0123456789")) * draw(st.integers(1, 5000)) + text[pos:]
+            continue
+        pos = draw(st.integers(0, len(text)))
+        if edit == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            tail = text[pos + 1:] if edit == "replace" else text[pos:]
+            text = text[:pos] + draw(st.characters()) + tail
+    return text
+
+
+class TestVerifyNeverRaises:
+    @settings(max_examples=500, deadline=None)
+    @given(edited_transcripts())
+    def test_status_is_0_1_or_2(self, text):
+        status, message = verify_transcript(text)
+        assert status in (0, 1, 2)
+        assert isinstance(message, str)
 
 
 class TestLinkRestriction:
