@@ -20,6 +20,14 @@ from triauth.simulator import MUTATION_TARGETS, ScenarioConfig, run_scenario
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
 GUESS_DICTIONARY = (("bob", "x1"), ("carol", "pw123"), ("alice", "hunter2"), ("alice", "pw123"))
+# A cross product: every identity and every password repeats, the victim's
+# identity meets wrong passwords and their password meets wrong identities
+# before the match at position 19 of 20.
+GUESS_CROSS_DICTIONARY = tuple(
+    (ident, password)
+    for ident in ("bob", "carol", "dave", "alice")
+    for password in ("x1", "hunter2", "letmein", "pw123", "qwerty")
+)
 
 
 def cases() -> dict[str, ScenarioConfig]:
@@ -35,6 +43,7 @@ def cases() -> dict[str, ScenarioConfig]:
         out[f"guess/{label}"] = ScenarioConfig(
             kind="guess", seed=3, user_id=user_id, dictionary=GUESS_DICTIONARY
         )
+    out["guess/cross"] = ScenarioConfig(kind="guess", seed=4, dictionary=GUESS_CROSS_DICTIONARY)
     for target in sorted(MUTATION_TARGETS):
         taps = (True, False) if target.startswith(("m1.", "m4.")) else (True,)
         for tap in taps:
