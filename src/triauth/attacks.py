@@ -9,7 +9,7 @@ includes the control server's master secrets.
 from dataclasses import dataclass, field
 
 from .actors import SmartCard
-from .crypto import h, h_pairs, h_prefix, xor
+from .crypto import frame, h, h_pairs, h_prefix, hash_bytes, xor
 
 
 def extract_card(card: SmartCard) -> SmartCard:
@@ -66,9 +66,16 @@ def guess_credentials(extracted: SmartCard, candidates) -> GuessResult:
     a not-found result after exhausting the candidates.
     """
     h_b = h_prefix(extracted.b)
+    # h(id, h_y, a_i) hashes frame(id) + tail, where tail = frame(h_y) + frame(a_i) and
+    # a_i = h(b, password) depends on the password alone: one tail per distinct password.
+    framed_h_y = frame(extracted.h_y)
+    tails = {}
     evaluations = 0
     for evaluations, (user_id, password) in enumerate(candidates, start=1):
-        if h(user_id, extracted.h_y, h_b(password)) == extracted.c_i:
+        tail = tails.get(password)
+        if tail is None:
+            tail = tails[password] = framed_h_y + frame(h_b(password))
+        if hash_bytes(frame(user_id) + tail) == extracted.c_i:
             return GuessResult(user_id=user_id, password=password, evaluations=evaluations)
     return GuessResult(user_id=None, password=None, evaluations=evaluations)
 

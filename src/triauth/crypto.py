@@ -25,6 +25,11 @@ def xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
+def frame(part: bytes) -> bytes:
+    """One part of a concat() encoding: its 4-octet big-endian length, then the part."""
+    return _pack_len(len(part)) + part
+
+
 def concat(*parts: bytes) -> bytes:
     """Join byte strings with 4-octet big-endian length prefixes.
 
@@ -59,7 +64,7 @@ def h(*parts: bytes) -> bytes:
 
 def h_pairs(values):
     """Yield h(a, b) for every ordered pair of values, a-major, hashing each a once."""
-    framed = [_pack_len(len(value)) + value for value in values]
+    framed = list(map(frame, values))
     for head in map(hashlib.sha256, framed):
         for tail in framed:
             pair = head.copy()

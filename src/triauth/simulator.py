@@ -138,6 +138,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind: {self.kind!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed must be an integer")
+        try:
+            str(self.seed)  # BlockRng keys every stream by the seed's decimal text
+        except ValueError:
+            raise ConfigError("seed has too many digits to write in decimal") from None
         for name in ("user_id", "password", "sid", "attacker_id", "attacker_password"):
             value = getattr(self, name)
             optional = name.startswith("attacker") and self.kind != "masquerade"

@@ -52,3 +52,14 @@ def ref_knows(seen, target: bytes) -> bool:
     if any(ref_h(a) == target for a in seen):
         return True
     return any(ref_h(a, b) == target for a in seen for b in seen)
+
+
+def ref_guess(card, candidates):
+    """Offline guessing by brute force: (id, password, position) of the first
+    candidate with h(id, h_y, h(b, password)) == c_i, counted from 1, or
+    (None, None, number of candidates) when none matches."""
+    count = 0
+    for count, (user_id, password) in enumerate(candidates, start=1):
+        if ref_h(user_id, card.h_y, ref_h(card.b, password)) == card.c_i:
+            return user_id, password, count
+    return None, None, count

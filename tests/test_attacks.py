@@ -13,6 +13,7 @@ from triauth import (
     ConfigError,
     ControlServer,
     ScenarioConfig,
+    SmartCard,
     UserAuthFailed,
     card_login,
     card_verify,
@@ -26,8 +27,10 @@ from triauth import (
     server_verify,
 )
 
+from triauth.attacks import GuessResult
+
 from helpers import flip, honest_run
-from oracle import ref_h, ref_knows, ref_xor
+from oracle import ref_guess, ref_h, ref_knows, ref_xor
 
 
 def encoded(pairs):
@@ -138,6 +141,47 @@ class TestGuessCredentials:
             assert result.found
             assert result.evaluations == k + 1
             assert (result.user_id, result.password) == (user_id.encode(), password.encode())
+
+
+# Identity and password lengths at the edges of the framing: empty, one byte,
+# the longest length whose prefix has one nonzero octet (255), and a length
+# with two (300); both long ones span several SHA-256 blocks.
+guess_parts = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=1),
+    st.binary(min_size=255, max_size=255),
+    st.binary(min_size=300, max_size=300),
+)
+digests = st.binary(min_size=32, max_size=32)
+
+
+@st.composite
+def guess_inputs(draw):
+    """A card and candidates drawn from the cross product of small identity and
+    password pools: identities and passwords repeat, the true identity meets wrong
+    passwords and the true password wrong identities, and the true pair may be
+    missing or present several times."""
+    ids = draw(st.lists(guess_parts, min_size=1, max_size=4, unique=True))
+    passwords = draw(st.lists(guess_parts, min_size=1, max_size=4, unique=True))
+    true_id, true_password = draw(st.sampled_from(ids)), draw(st.sampled_from(passwords))
+    b, h_y = draw(digests), draw(digests)
+    card = SmartCard(
+        c_i=ref_h(true_id, h_y, ref_h(b, true_password)), d_i=draw(digests), e_i=draw(digests), h_y=h_y, b=b
+    )
+    pairs = [(i, p) for i in ids for p in passwords]
+    candidates = draw(st.lists(st.sampled_from(pairs), max_size=16))
+    for _ in range(draw(st.integers(0, 2))):
+        candidates.insert(draw(st.integers(0, len(candidates))), (true_id, true_password))
+    return card, candidates, draw(st.booleans())
+
+
+class TestGuessMatchesReference:
+    @settings(max_examples=300)
+    @given(guess_inputs())
+    def test_first_match_and_count_equal_brute_force(self, inputs):
+        card, candidates, lazy = inputs
+        given_candidates = (pair for pair in candidates) if lazy else candidates
+        assert guess_credentials(card, given_candidates) == GuessResult(*ref_guess(card, candidates))
 
 
 class TestForgeLogin:

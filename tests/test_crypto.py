@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triauth import DIGEST_LEN, BlockRng, concat, h, hash_bytes, split_concat, xor
-from triauth.crypto import h_pairs, h_prefix
+from triauth.crypto import frame, h_pairs, h_prefix
 
 from oracle import SHA256_ABC, SHA256_EMPTY, ref_h, ref_parse
 
@@ -96,7 +96,7 @@ class TestXor:
 
 class TestConcat:
     def test_single_part_encoding(self):
-        assert concat(b"AB") == b"\x00\x00\x00\x02AB"
+        assert concat(b"AB") == frame(b"AB") == b"\x00\x00\x00\x02AB"
 
     def test_boundaries_are_preserved(self):
         assert concat(b"A", b"B") != concat(b"AB")

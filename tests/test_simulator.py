@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triauth import (
+    KINDS,
     MUTATION_TARGETS,
     AdversaryPolicy,
     BlockRng,
@@ -48,6 +49,14 @@ class TestScenarioConfig:
         # a config is validated when built, so replace() cannot make an invalid one
         with pytest.raises(ConfigError):
             dataclasses.replace(config("honest"), seed="1")
+
+    def test_seed_past_the_decimal_digit_limit_rejected(self):
+        # BlockRng writes the seed in decimal, which Python refuses past 4300 digits
+        with pytest.raises(ConfigError, match="too many digits"):
+            ScenarioConfig(kind="honest", seed=10**5000)
+        with pytest.raises(ConfigError, match="too many digits"):
+            dataclasses.replace(config("honest"), seed=-(10**5000))
+        assert run_scenario(config("honest", seed=10**4299)).result.expectations_met
 
     def test_guess_requires_dictionary(self):
         with pytest.raises(ConfigError):
@@ -163,6 +172,33 @@ class TestDeterminism:
         t = run_scenario(config(kind, seed=8))
         parsed = Transcript.from_jsonl(t.to_jsonl())
         assert parsed == t
+
+
+# Dictionary text: any non-empty string that encodes as UTF-8 (no lone surrogates).
+dictionary_text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Any kind, either tap setting, every mutation target its tap allows, small guess dictionaries."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    tap = draw(st.booleans())
+    kw = {}
+    if kind == "mutation":
+        targets = sorted(t for t, (message, *_) in MUTATION_TARGETS.items() if tap or message in ("M1", "M4"))
+        kw["mutation_target"] = draw(st.sampled_from(targets))
+    if kind == "guess":
+        entries = st.tuples(dictionary_text, dictionary_text) | st.just(("alice", "pw123"))
+        kw["dictionary"] = tuple(draw(st.lists(entries, min_size=1, max_size=5)))
+    return ScenarioConfig(kind=kind, seed=draw(st.integers(0, 2**64)), tap_server_cs_link=tap, **kw)
+
+
+class TestJsonlRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(scenario_configs())
+    def test_from_jsonl_inverts_to_jsonl(self, cfg):
+        t = run_scenario(cfg)
+        assert Transcript.from_jsonl(t.to_jsonl()) == t
 
 
 class TestReplayScenario:
