@@ -2,8 +2,7 @@
 
 Exit codes: 0 when the scenario ran and its expectations were met (for
 attack scenarios: the attack succeeded), 1 when expectations were violated,
-2 on usage or configuration errors.  --expect-secure inverts the success
-condition for attack scenarios.
+2 on usage or configuration errors.
 """
 
 import argparse
@@ -12,7 +11,6 @@ from pathlib import Path
 
 from .crypto import HASH_NAME
 from .simulator import (
-    ATTACK_KINDS,
     KINDS,
     MUTATION_TARGETS,
     ConfigError,
@@ -52,10 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--user-link-only", action="store_true",
         help="restrict the adversary tap to the user<->server link",
-    )
-    run_p.add_argument(
-        "--expect-secure", action="store_true",
-        help="exit 0 when the attack FAILS (for patched-protocol experiments)",
     )
 
     verify_p = sub.add_parser("verify", help="check a transcript against a deterministic re-run")
@@ -139,10 +133,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"transcript written: {args.out}")
     for line in summarize(transcript):
         print(line)
-    met = transcript.result.expectations_met
-    if args.expect_secure and cfg.kind in ATTACK_KINDS:
-        met = not transcript.report.success
-    return 0 if met else 1
+    return 0 if transcript.result.expectations_met else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

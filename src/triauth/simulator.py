@@ -14,9 +14,10 @@ final result record.
 """
 
 import json
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import get_args
+from typing import get_args, get_origin
 
 from .actors import (
     M1,
@@ -257,11 +258,41 @@ class ScenarioResult:
     detail: str
 
 
+_JSON_OUT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_JSON_IN = json.JSONDecoder()
+
+# The JSON text _JSON_OUT writes for a value of each declared field type;
+# a bytes field travels as a lowercase hex string.
+_TO_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    bytes: lambda value: f'"{value.hex()}"',
+}
+
+
+def _field_types(field_type) -> tuple:
+    """The classes a field's value may have: its declared type, or each member of an optional one."""
+    members = get_args(field_type) if type(None) in get_args(field_type) else (field_type,)
+    return tuple(get_origin(member) or member for member in members)
+
+
+def _json_writer(types: tuple, omit_none: bool):
+    """The converter for a field of these classes; any other class, such as dict, goes through _JSON_OUT."""
+    write = _TO_JSON.get(next(t for t in types if t is not type(None)), _JSON_OUT.encode)
+    if type(None) in types and not omit_none:
+        return lambda value: "null" if value is None else write(value)
+    return write
+
+
 class _Codec:
     """Converts one record dataclass to and from its JSON object.
 
     Bytes fields travel as lowercase hex, keys may be renamed, and a codec
-    with omit_none leaves None fields out.  The field spec is computed once.
+    with omit_none leaves None fields out.  Decoding rejects a value whose
+    class is not the field's declared type, so every decoded object can be
+    written again by its line plan.  The field spec and the line plan are
+    computed once.
     """
 
     def __init__(self, cls, tag: str | None = None, rename: dict | None = None, omit_none: bool = False):
@@ -269,11 +300,22 @@ class _Codec:
         self.cls = cls
         self.tag = tag
         self._omit_none = omit_none
-        spec = [(f.name, rename.get(f.name, f.name), bytes in (f.type, *get_args(f.type))) for f in fields(cls)]
+        spec = [(f.name, rename.get(f.name, f.name), _field_types(f.type)) for f in fields(cls)]
         self._keys = tuple(key for _, key, _ in spec)
         self._values = attrgetter(*(name for name, _, _ in spec))
         self._renamed = tuple((name, key) for name, key, _ in spec if key != name)
-        self._hex = tuple((name, key) for name, key, is_bytes in spec if is_bytes)
+        self._hex = tuple((name, key) for name, key, types in spec if bytes in types)
+        self._types = tuple((name, types) for name, _, types in spec)
+        # Line plan: ('"key":', position in the value tuple, converter) in sorted
+        # key order.  line() appends the tag to the field values, so "record"
+        # is one more string value in its sorted place.
+        plan = {key: (pos, _json_writer(types, omit_none)) for pos, (_, key, types) in enumerate(spec)}
+        if tag is not None:
+            plan["record"] = (len(spec), encode_basestring_ascii)
+        self._plan = tuple((f"{encode_basestring_ascii(key)}:", *entry) for key, entry in sorted(plan.items()))
+        # line() leaves out each value that is this object: None when None
+        # fields are omitted, else a sentinel no field holds.
+        self._skip = None if omit_none else object()
 
     def encode(self, obj) -> dict:
         record = dict(zip(self._keys, self._values(obj)))
@@ -285,6 +327,13 @@ class _Codec:
         if self.tag is not None:
             record["record"] = self.tag
         return record
+
+    def line(self, obj) -> str:
+        """The JSON text _JSON_OUT.encode(self.encode(obj)) gives, written field by field."""
+        values = self._values(obj) + (self.tag,)
+        skip = self._skip
+        pairs = [key + write(values[pos]) for key, pos, write in self._plan if values[pos] is not skip]
+        return "{" + ",".join(pairs) + "}"
 
     def decode(self, record: dict):
         """Build the dataclass; absent keys take the field default, unknown keys raise TypeError."""
@@ -299,7 +348,12 @@ class _Codec:
         for name, _ in self._hex:
             if kwargs.get(name) is not None:
                 kwargs[name] = bytes.fromhex(kwargs[name])
-        return self.cls(**kwargs)
+        obj = self.cls(**kwargs)
+        for (name, types), value in zip(self._types, self._values(obj)):
+            if type(value) not in types:
+                expected = " or ".join(t.__name__ for t in types)
+                raise TypeError(f"{name} must be {expected}, not {type(value).__name__}")
+        return obj
 
 
 _CODECS = {
@@ -314,9 +368,6 @@ _CODECS = {
     )
 }
 _BY_TAG = {codec.tag: codec for codec in _CODECS.values() if codec.tag is not None}
-
-_JSON_OUT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_JSON_IN = json.JSONDecoder()
 
 
 def _loads(line: str, lineno: int) -> dict:
@@ -378,7 +429,7 @@ class Transcript:
             records.append(self.report)
         records.append(self.result)
         lines = [_JSON_OUT.encode(_header(self.config))]
-        lines.extend(_JSON_OUT.encode(_CODECS[type(r)].encode(r)) for r in records)
+        lines.extend(_CODECS[type(r)].line(r) for r in records)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -452,18 +503,19 @@ def adversary_tap(event: ChannelEvent, policy: AdversaryPolicy, rng: BlockRng | 
     """
     if event.channel != "open":
         raise ValueError("adversary cannot tap a secure channel")
+    action, payload = "observed", event.payload
     if policy.mode == "drop" and event.kind == policy.target_kind:
-        return replace(event, action="dropped")
-    if policy.mode == "modify" and event.kind == policy.target_kind:
+        action = "dropped"
+    elif policy.mode == "modify" and event.kind == policy.target_kind:
         if rng is None:
             raise ValueError("modify policy needs an rng")
-        parts = _wire_parts(event.kind, event.payload)
+        parts = _wire_parts(event.kind, payload)
         pos = WIRE_FIELDS[event.kind].index(policy.target_field)
         parts[pos] = flip_byte(parts[pos], rng)
-        return replace(event, action="modified", payload=concat(*parts))
-    if policy.mode not in ("passive", "drop", "modify"):
+        action, payload = "modified", concat(*parts)
+    elif policy.mode not in ("passive", "drop", "modify"):
         raise ValueError(f"unknown adversary mode: {policy.mode!r}")
-    return replace(event, action="observed")
+    return ChannelEvent(event.step, event.session, event.sender, event.receiver, event.kind, "open", action, payload)
 
 
 # --- scenario execution ---------------------------------------------------
@@ -552,12 +604,12 @@ class _Run:
         """Put a message on an open channel; returns the delivered message or None."""
         payload = encode_message(kind, msg)
         # Every event is logged exactly once, so its step is its index in the log.
-        event = ChannelEvent(len(self.events), session, sender, receiver, kind, "open", "none", payload)
+        step = len(self.events)
         if injected:
-            event = replace(event, action="injected")
-            self.events.append(event)
+            self.events.append(ChannelEvent(step, session, sender, receiver, kind, "open", "injected", payload))
             self._observe(kind, msg, payload)
             return msg
+        event = ChannelEvent(step, session, sender, receiver, kind, "open", "none", payload)
         backhaul = {sender, receiver} == {"server", "cs"}
         if backhaul and not self.cfg.tap_server_cs_link:
             self.events.append(event)

@@ -6,6 +6,7 @@ straight from hashlib, independent of the package's own helpers.
 
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from triauth import (
     ControlServer,
     CSAuthFailed,
     LocalCheckFailed,
+    ScenarioConfig,
     ServerAuthFailed,
     UserAuthFailed,
     card_login,
@@ -25,9 +27,11 @@ from triauth import (
     enroll_user,
     register_server,
     register_user,
+    run_scenario,
     server_forward,
     server_verify,
 )
+from triauth import actors, crypto
 
 from helpers import flip, honest_run
 from oracle import ref_h, ref_xor
@@ -220,3 +224,53 @@ def test_any_single_byte_flip_in_m1_aborts(seed, pos, mask):
     m2, _ = server_forward(run.secrets, bad_m1, BlockRng(seed, "server2"))
     with pytest.raises(UserAuthFailed):
         cs_authenticate(run.cs, m2, BlockRng(seed, "cs2"))
+
+
+# Honest-flow hash cost (T_h): (h calls, hash_bytes calls) made inside each
+# actor function during one honest run, the figures perfbench's table reports.
+HONEST_HASH_COST = {
+    "register_user": (6, 6),
+    "card_login": (6, 7),
+    "server_forward": (1, 2),
+    "cs_authenticate": (15, 16),
+    "server_verify": (5, 5),
+    "card_verify": (5, 5),
+}
+
+
+def hash_calls_in_run(cfg):
+    """(h, hash_bytes) call counts in total and per actor function, from profile call events.
+
+    Functions are matched by code object, so nothing in the package is
+    replaced while it runs.
+    """
+    counted = {crypto.h.__code__: 0, crypto.hash_bytes.__code__: 1}
+    actor_codes = {getattr(actors, name).__code__: name for name in HONEST_HASH_COST}
+    counts = {name: [0, 0] for name in (*HONEST_HASH_COST, "total")}
+    inside = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code in counted:
+            counts["total"][counted[code]] += 1
+            if inside:
+                counts[inside[-1]][counted[code]] += 1
+        elif code in actor_codes and event in ("call", "return"):
+            if event == "call":
+                inside.append(actor_codes[code])
+            else:
+                inside.pop()
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run_scenario(cfg)
+    finally:
+        sys.setprofile(previous)
+    return {name: tuple(pair) for name, pair in counts.items()}
+
+
+def test_honest_run_hash_cost_per_actor():
+    counts = hash_calls_in_run(ScenarioConfig(kind="honest", seed=1))
+    assert counts.pop("total") == (41, 52)
+    assert counts == HONEST_HASH_COST

@@ -71,12 +71,6 @@ class TestRunCommand:
         assert run_cli("run", "masquerade", flag, "\udcff") == 2
         assert "not valid UTF-8" in capsys.readouterr().err
 
-    def test_expect_secure_inverts_attack_exit(self, dict_file, capsys):
-        assert run_cli("run", "replay", "--seed", "1", "--expect-secure") == 1
-        # attack that fails (victim pair absent) becomes exit 0 under --expect-secure
-        assert run_cli("run", "guess", "--seed", "1", "--dict", dict_file,
-                       "--id", "nobody", "--password", "nothing", "--expect-secure") == 0
-
     def test_failed_guess_exits_one(self, dict_file, capsys):
         code = run_cli("run", "guess", "--seed", "1", "--dict", dict_file,
                        "--id", "nobody", "--password", "nothing")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from triauth import (
     run_scenario,
     verify_transcript,
 )
+from triauth import simulator
 
 from helpers import honest_run
 
@@ -201,6 +203,44 @@ class TestJsonlRoundTripProperty:
         assert Transcript.from_jsonl(t.to_jsonl()) == t
 
 
+# Text that JSON must escape: quotes, backslashes, control characters, the
+# line separators JavaScript rejects, non-ASCII and astral characters.
+json_text = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029é€\U0001f600') | st.characters(), max_size=8)
+json_ints = st.integers() | st.sampled_from((0, -1, -(2**63), 10**100, -(10**300)))
+FIELD_VALUES = {
+    str: json_text,
+    int: json_ints,
+    bool: st.booleans(),
+    bytes: st.binary(max_size=300),
+    dict: st.dictionaries(json_text, json_text, max_size=4),
+}
+
+
+def field_values(field_type):
+    args = typing.get_args(field_type)
+    if type(None) in args:
+        return st.none() | field_values(next(a for a in args if a is not type(None)))
+    return FIELD_VALUES[field_type]
+
+
+@st.composite
+def codec_records(draw):
+    """A codec and one of its objects: any record, or any config the scenario_configs strategy draws."""
+    codec = draw(st.sampled_from(list(simulator._CODECS.values())))
+    if codec.cls is ScenarioConfig:
+        return codec, draw(scenario_configs())
+    return codec, codec.cls(**{f.name: draw(field_values(f.type)) for f in dataclasses.fields(codec.cls)})
+
+
+class TestLinePlanProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(codec_records())
+    def test_line_equals_the_json_encoder(self, codec_record):
+        codec, record = codec_record
+        encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+        assert codec.line(record) == encoder.encode(codec.encode(record))
+
+
 class TestReplayScenario:
     def test_second_session_accepted_by_cs_and_server(self):
         t = run_scenario(config("replay", seed=9))
@@ -372,6 +412,21 @@ class TestVerifyTranscript:
         trimmed = "\n".join(text.splitlines()[:-1]) + "\n"
         with pytest.raises(TranscriptFormatError):
             Transcript.from_jsonl(trimmed)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"step":3}', '"step":"3"}', "step must be int, not str"),
+        ('"ok":true', '"ok":1', "ok must be bool, not int"),
+        ('"session":1', '"session":true', "session must be int, not bool"),
+        ('"recovered":{"shared_session_key":"yes"}', '"recovered":["yes"]', "recovered must be dict, not list"),
+    ])
+    def test_from_jsonl_rejects_a_value_of_another_type(self, old, new, message):
+        # the line plan writes each value by its declared type, so a decoded
+        # record must hold exactly that type to be written back unchanged
+        text = run_scenario(config("masquerade", seed=32)).to_jsonl()
+        edited = text.replace(old, new, 1)
+        assert edited != text
+        with pytest.raises(TranscriptFormatError, match=message):
+            Transcript.from_jsonl(edited)
 
 
 @st.composite
