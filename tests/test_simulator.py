@@ -303,6 +303,27 @@ class TestMutationScenario:
         t = run_scenario(config("mutation", seed=17, mutation_target="m3.v_i"))
         assert [e.action for e in t.events if e.kind == "M3"] == ["modified"]
 
+    def test_targets_and_expected_aborts(self):
+        assert MUTATION_TARGETS == {
+            "m1.f_i": ("M1", "f_i", "UserAuthFailed", "cs"),
+            "m1.g_i": ("M1", "g_i", "UserAuthFailed", "cs"),
+            "m1.p_ij": ("M1", "p_ij", "UserAuthFailed", "cs"),
+            "m1.cid_i": ("M1", "cid_i", "UserAuthFailed", "cs"),
+            "m2.f_i": ("M2", "f_i", "UserAuthFailed", "cs"),
+            "m2.g_i": ("M2", "g_i", "UserAuthFailed", "cs"),
+            "m2.p_ij": ("M2", "p_ij", "UserAuthFailed", "cs"),
+            "m2.cid_i": ("M2", "cid_i", "UserAuthFailed", "cs"),
+            "m2.sid": ("M2", "sid", "ServerAuthFailed", "cs"),
+            "m2.k_i": ("M2", "k_i", "ServerAuthFailed", "cs"),
+            "m2.m_i": ("M2", "m_i", "ServerAuthFailed", "cs"),
+            "m3.q_i": ("M3", "q_i", "CSAuthFailed", "server"),
+            "m3.r_i": ("M3", "r_i", "CSAuthFailed", "server"),
+            "m3.v_i": ("M3", "v_i", "CSAuthFailed", "server"),
+            "m3.t_i": ("M3", "t_i", "CSAuthFailed", "card"),
+            "m4.v_i": ("M4", "v_i", "CSAuthFailed", "card"),
+            "m4.t_i": ("M4", "t_i", "CSAuthFailed", "card"),
+        }
+
 
 class TestAdversaryTap:
     def _event(self, run, kind="M1", msg=None, channel="open"):
@@ -351,6 +372,63 @@ class TestAdversaryTap:
         assert [e.action for e in m4_events] == ["dropped"]
         card_outcome = [o for o in run.outcomes if o.party == "card"]
         assert card_outcome and card_outcome[0].abort == "undelivered:M4"
+
+
+REGISTRATION = [("RegistrationRequest", "none"), ("CardIssue", "none")]
+LOCAL_CHECK = [("card", "card_local_check", True)]
+CS_CHECKS = [("cs", "cs_verifies_server", True), ("cs", "cs_verifies_user", True)]
+SERVER_CHECK = [("server", "server_verifies_cs", True)]
+
+
+# (dropped kind, tap_server_cs_link): events as (kind, action), checks as
+# (party, check, ok), outcomes as (party, abort).  With the backhaul untapped
+# the adversary never sees M2 or M3, so dropping them leaves an honest run.
+DROP_RUNS = {
+    ("M1", True): (REGISTRATION + [("M1", "dropped")], LOCAL_CHECK, [("server", "undelivered:M1")]),
+    ("M2", True): (
+        REGISTRATION + [("M1", "observed"), ("M2", "dropped")],
+        LOCAL_CHECK,
+        [("cs", "undelivered:M2")],
+    ),
+    ("M3", True): (
+        REGISTRATION + [("M1", "observed"), ("M2", "observed"), ("M3", "dropped")],
+        LOCAL_CHECK + CS_CHECKS,
+        [("cs", None), ("server", "undelivered:M3")],
+    ),
+    ("M4", True): (
+        REGISTRATION + [("M1", "observed"), ("M2", "observed"), ("M3", "observed"), ("M4", "dropped")],
+        LOCAL_CHECK + CS_CHECKS + SERVER_CHECK,
+        [("cs", None), ("server", None), ("card", "undelivered:M4")],
+    ),
+    ("M1", False): (REGISTRATION + [("M1", "dropped")], LOCAL_CHECK, [("server", "undelivered:M1")]),
+    ("M2", False): (
+        REGISTRATION + [("M1", "observed"), ("M2", "none"), ("M3", "none"), ("M4", "observed")],
+        LOCAL_CHECK + CS_CHECKS + SERVER_CHECK + [("card", "card_verifies_cs", True)],
+        [("cs", None), ("server", None), ("card", None)],
+    ),
+    ("M3", False): (
+        REGISTRATION + [("M1", "observed"), ("M2", "none"), ("M3", "none"), ("M4", "observed")],
+        LOCAL_CHECK + CS_CHECKS + SERVER_CHECK + [("card", "card_verifies_cs", True)],
+        [("cs", None), ("server", None), ("card", None)],
+    ),
+    ("M4", False): (
+        REGISTRATION + [("M1", "observed"), ("M2", "none"), ("M3", "none"), ("M4", "dropped")],
+        LOCAL_CHECK + CS_CHECKS + SERVER_CHECK,
+        [("cs", None), ("server", None), ("card", "undelivered:M4")],
+    ),
+}
+
+
+class TestDropPath:
+    # No scenario kind drops a message, so the run object is driven directly.
+    @pytest.mark.parametrize("kind, tap", sorted(DROP_RUNS), ids=lambda v: v if isinstance(v, str) else f"tap={v}")
+    def test_dropped_message_aborts_its_receiver(self, kind, tap):
+        run = simulator._Run(config("honest", seed=27, tap_server_cs_link=tap))
+        run.victim_session(run.user_id, run.password, AdversaryPolicy(mode="drop", target_kind=kind))
+        events, checks, outcomes = DROP_RUNS[kind, tap]
+        assert [(e.kind, e.action) for e in run.events] == events
+        assert [(c.party, c.check, c.ok) for c in run.checks] == checks
+        assert [(o.party, o.abort) for o in run.outcomes] == outcomes
 
 
 class TestVerifyTranscript:
