@@ -44,13 +44,11 @@ from .actors import (
 )
 from .attacks import (
     AdversaryKnowledge,
-    extract_card,
     guess_credentials,
     read_dictionary_file,
 )
 from .simulator import (
     ARTIFACT_VERSION,
-    ATTACK_KINDS,
     KINDS,
     MUTATION_TARGETS,
     AdversaryPolicy,

@@ -12,14 +12,6 @@ from .actors import SmartCard
 from .crypto import frame, h, h_pairs, h_prefix, hash_bytes, xor
 
 
-def extract_card(card: SmartCard) -> SmartCard:
-    """Read out a card's stored values (the physical-extraction capability).
-
-    The thief learns every stored value, so what they hold is the card itself.
-    """
-    return card
-
-
 def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ...]:
     """Parse a dictionary file: one id<TAB>password pair per line, UTF-8.
 

@@ -39,7 +39,7 @@ from .actors import (
     server_forward,
     server_verify,
 )
-from .attacks import AdversaryKnowledge, AttackReport, extract_card, guess_credentials
+from .attacks import AdversaryKnowledge, AttackReport, guess_credentials
 from .crypto import HASH_NAME, BlockRng, concat, h, split_concat
 
 ARTIFACT_NAME = "triauth"
@@ -74,15 +74,41 @@ _NESTED = {
     for cls in WIRE_MESSAGES.values()
 }
 
-# Which check catches a flipped byte, by the message that declares the field:
-# (abort, party that aborts).  t_i crosses the server unchecked inside M3 and
-# is first verified by the card.
+
+# --- login exchange ------------------------------------------------------
+
+def _keyed(msg, state):
+    return msg, state, state.session_key
+
+
+# The login exchange in order; each message's sender is the previous one's
+# receiver.  A row is (message kind, receiver, actor call, checks).  The actor
+# call maps (run, each receiver's session state, message) to (next message,
+# the receiver's new state, its session key or None).  Each check, in the
+# order the actor makes them, is (name, actor error that fails it, what a
+# flipped byte of it is first caught by): a message covers every field it
+# declares, a message.field entry overrides it.  t_i crosses the server
+# unchecked inside M3 and is first verified by the card.
+_STEPS = (
+    ("M1", "server", lambda run, states, m1: (*server_forward(run.secrets, m1, run.rng_server), None), ()),
+    ("M2", "cs", lambda run, states, m2: _keyed(*cs_authenticate(run.cs, m2, run.rng_cs)), (
+        ("cs_verifies_server", ServerAuthFailed, ("M2",)),
+        ("cs_verifies_user", UserAuthFailed, ("M1",)),
+    )),
+    ("M3", "server", lambda run, states, m3: _keyed(*server_verify(run.secrets, states["server"], m3)), (
+        ("server_verifies_cs", CSAuthFailed, ("M3",)),
+    )),
+    ("M4", "card", lambda run, states, m4: (None, None, card_verify(states["card"], m4)), (
+        ("card_verifies_cs", CSAuthFailed, ("M4", "M3.t_i")),
+    )),
+)
+
+# message or message.field -> (abort, party that aborts) for a flipped byte in it
 _CAUGHT_BY = {
-    "M1": ("UserAuthFailed", "cs"),
-    "M2": ("ServerAuthFailed", "cs"),
-    "M3": ("CSAuthFailed", "server"),
-    "M3.t_i": ("CSAuthFailed", "card"),
-    "M4": ("CSAuthFailed", "card"),
+    owner: (abort.__name__, receiver)
+    for _, receiver, _, checks in _STEPS
+    for _, abort, catches in checks
+    for owner in catches
 }
 
 # target -> (message kind, field, expected abort, party that aborts)
@@ -522,9 +548,8 @@ def adversary_tap(event: ChannelEvent, policy: AdversaryPolicy, rng: BlockRng | 
 
 @dataclass
 class _Flow:
-    """What one M1..M4 exchange left: the M1 the server received and each party's key."""
+    """Each party's session key after one M1..M4 exchange; the fields are named after the receivers in _STEPS."""
 
-    delivered_m1: M1 | None = None
     sk_cs: bytes | None = None
     sk_server: bytes | None = None
     sk_card: bytes | None = None
@@ -619,10 +644,10 @@ class _Run:
         self._observe(kind, msg, payload)
         if event.action == "dropped":
             return None
-        delivered = decode_message(kind, event.payload)
         if event.action == "modified":
-            self._observe(kind, delivered, event.payload)
-        return delivered
+            msg = decode_message(kind, event.payload)
+            self._observe(kind, msg, event.payload)
+        return msg
 
     def exchange(
         self,
@@ -633,68 +658,40 @@ class _Run:
         *,
         user_party: str = "card",
         m1_sender: str = "user",
-        m4_receiver: str = "user",
-        injected: bool = False,
     ) -> _Flow:
-        """Drive one M1..M4 exchange, recording checks and outcomes as they happen."""
+        """Drive one M1..M4 exchange through _STEPS, recording checks and outcomes as they happen.
+
+        user_party holds the card and is "user" on the wire when it is the
+        victim's card.  An M1 that the user did not send is injected.  With no
+        card session, M4 is sent and nobody checks it.
+        """
         flow = _Flow()
-        flow.delivered_m1 = self.send(session, m1_sender, "server", "M1", m1, policy, injected=injected)
-        if flow.delivered_m1 is None:
-            self.abort(session, "server", "undelivered:M1")
-            return flow
-
-        m2, server_session = server_forward(self.secrets, flow.delivered_m1, self.rng_server)
-        delivered_m2 = self.send(session, "server", "cs", "M2", m2, policy)
-        if delivered_m2 is None:
-            self.abort(session, "cs", "undelivered:M2")
-            return flow
-
-        try:
-            m3, cs_session = cs_authenticate(self.cs, delivered_m2, self.rng_cs)
-        except ServerAuthFailed:
-            self.check(session, "cs", "cs_verifies_server", False)
-            self.abort(session, "cs", "ServerAuthFailed")
-            return flow
-        except UserAuthFailed:
-            self.check(session, "cs", "cs_verifies_server", True)
-            self.check(session, "cs", "cs_verifies_user", False)
-            self.abort(session, "cs", "UserAuthFailed")
-            return flow
-        self.check(session, "cs", "cs_verifies_server", True)
-        self.check(session, "cs", "cs_verifies_user", True)
-        self.key(session, "cs", cs_session.session_key)
-        flow.sk_cs = cs_session.session_key
-
-        delivered_m3 = self.send(session, "cs", "server", "M3", m3, policy)
-        if delivered_m3 is None:
-            self.abort(session, "server", "undelivered:M3")
-            return flow
-
-        try:
-            m4, server_result = server_verify(self.secrets, server_session, delivered_m3)
-        except CSAuthFailed:
-            self.check(session, "server", "server_verifies_cs", False)
-            self.abort(session, "server", "CSAuthFailed")
-            return flow
-        self.check(session, "server", "server_verifies_cs", True)
-        self.key(session, "server", server_result.session_key)
-        flow.sk_server = server_result.session_key
-
-        delivered_m4 = self.send(session, "server", m4_receiver, "M4", m4, policy)
-        if card_session is None:
-            return flow
-        if delivered_m4 is None:
-            self.abort(session, user_party, "undelivered:M4")
-            return flow
-        try:
-            sk_card = card_verify(card_session, delivered_m4)
-        except CSAuthFailed:
-            self.check(session, user_party, "card_verifies_cs", False)
-            self.abort(session, user_party, "CSAuthFailed")
-            return flow
-        self.check(session, user_party, "card_verifies_cs", True)
-        self.key(session, user_party, sk_card)
-        flow.sk_card = sk_card
+        states = {"card": card_session}
+        sender, msg = m1_sender, m1
+        for kind, receiver, act, checks in _STEPS:
+            party = user_party if receiver == "card" else receiver
+            wire_receiver = "user" if party == "card" else party
+            injected = kind == "M1" and sender != "user"
+            msg = self.send(session, sender, wire_receiver, kind, msg, policy, injected=injected)
+            if receiver == "card" and card_session is None:
+                return flow
+            if msg is None:
+                self.abort(session, party, f"undelivered:{kind}")
+                return flow
+            failed = None
+            try:
+                msg, states[receiver], key = act(self, states, msg)
+            except tuple(abort for _, abort, _ in checks) as exc:
+                failed = type(exc)
+            for name, abort, _ in checks:
+                self.check(session, party, name, abort is not failed)
+                if abort is failed:
+                    self.abort(session, party, abort.__name__)
+                    return flow
+            if key is not None:
+                self.key(session, party, key)
+                setattr(flow, f"sk_{receiver}", key)
+            sender = wire_receiver
         return flow
 
     def victim_session(self, user_id: bytes, password: bytes, policy: AdversaryPolicy = PASSIVE) -> _Flow:
@@ -722,9 +719,10 @@ def _honest(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
 
 
 def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
-    captured = run.victim_session(run.user_id, run.password).delivered_m1
+    run.victim_session(run.user_id, run.password)
     # Nothing in M1 binds it to a session, so the byte-exact copy passes again.
-    flow = run.exchange(2, captured, None, m1_sender="adversary", injected=True)
+    captured = decode_message("M1", next(e.payload for e in run.events if e.kind == "M1"))
+    flow = run.exchange(2, captured, None, m1_sender="adversary")
     accepted = flow.sk_cs is not None and flow.sk_server is not None
     knows_sk = flow.sk_cs is not None and run.knowledge.knows(flow.sk_cs)
     report = AttackReport(
@@ -745,10 +743,7 @@ def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     attacker_password = run.cfg.attacker_password.encode("utf-8")
     card = run.register("attacker", attacker_id, attacker_password, run.rng_attacker)
     m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, run.rng_attacker)
-    flow = run.exchange(
-        1, m1, card_session,
-        user_party="attacker", m1_sender="attacker", m4_receiver="attacker", injected=True,
-    )
+    flow = run.exchange(1, m1, card_session, user_party="attacker", m1_sender="attacker")
     report = AttackReport(
         name="masquerade", success=flow.agreement, work=1,
         recovered={"shared_session_key": _yes(flow.agreement)},
@@ -762,7 +757,7 @@ def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
 
 def _guess(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     candidates = ((ident.encode("utf-8"), password.encode("utf-8")) for ident, password in run.cfg.dictionary)
-    guess = guess_credentials(extract_card(run.card), candidates)
+    guess = guess_credentials(run.card, candidates)
     success = guess.found and run.victim_session(guess.user_id, guess.password).agreement
     recovered = {}
     if guess.found:
@@ -794,16 +789,14 @@ def _mutation(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     return None, ScenarioResult(expectations_met=abort == (expected_party, expected_abort), detail=detail)
 
 
-# kind -> (scenario, whether it is an attack)
 _SCENARIOS = {
-    "honest": (_honest, False),
-    "replay": (_replay, True),
-    "masquerade": (_masquerade, True),
-    "guess": (_guess, True),
-    "mutation": (_mutation, False),
+    "honest": _honest,
+    "replay": _replay,
+    "masquerade": _masquerade,
+    "guess": _guess,
+    "mutation": _mutation,
 }
 KINDS = tuple(_SCENARIOS)
-ATTACK_KINDS = tuple(kind for kind, (_, attack) in _SCENARIOS.items() if attack)
 
 
 def run_scenario(cfg: ScenarioConfig) -> Transcript:
@@ -814,7 +807,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     Protocol aborts are recorded in the transcript, never raised.
     """
     run = _Run(cfg)
-    report, result = _SCENARIOS[cfg.kind][0](run)
+    report, result = _SCENARIOS[cfg.kind](run)
     return Transcript(
         config=cfg,
         events=tuple(run.events),

@@ -25,7 +25,6 @@ from triauth import (
     cs_authenticate,
     decode_message,
     enroll_user,
-    extract_card,
     guess_credentials,
     run_scenario,
     server_forward,
@@ -176,7 +175,7 @@ def test_offline_guess_recovery_100_trials():
         entries = [(f"u{trial}.{i}", f"p{trial}.{i}") for i in range(999)]
         entries.insert(k, (user_id, password))
         candidates = [(i.encode("utf-8"), p.encode("utf-8")) for i, p in entries]
-        result = guess_credentials(extract_card(card), candidates)
+        result = guess_credentials(card, candidates)
         ok = (
             result.found
             and result.evaluations == k + 1

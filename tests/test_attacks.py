@@ -19,7 +19,6 @@ from triauth import (
     card_verify,
     cs_authenticate,
     enroll_user,
-    extract_card,
     guess_credentials,
     read_dictionary_file,
     register_server,
@@ -48,23 +47,8 @@ def victim_card(cs):
 
 
 class TestExtractCard:
-    def test_copies_every_stored_value(self, victim_card):
-        ex = extract_card(victim_card)
-        assert (ex.c_i, ex.d_i, ex.e_i, ex.h_y, ex.b) == (
-            victim_card.c_i,
-            victim_card.d_i,
-            victim_card.e_i,
-            victim_card.h_y,
-            victim_card.b,
-        )
-
     def test_extracted_h_y_is_hash_of_master_secret(self, cs, victim_card):
-        assert extract_card(victim_card).h_y == ref_h(cs.y)
-
-    def test_card_unchanged(self, cs, victim_card):
-        before = dataclasses.astuple(victim_card)
-        extract_card(victim_card)
-        assert dataclasses.astuple(victim_card) == before
+        assert victim_card.h_y == ref_h(cs.y)
 
 
 class TestDictionary:
@@ -98,31 +82,27 @@ class TestDictionary:
 
 class TestGuessCredentials:
     def test_recovers_planted_pair_and_counts_work(self, cs, victim_card):
-        ex = extract_card(victim_card)
         decoys = [(f"user{i}", f"pass{i}") for i in range(99)]
         entries = decoys[:40] + [("alice", "pw123")] + decoys[40:]
-        result = guess_credentials(ex, encoded(entries))
+        result = guess_credentials(victim_card, encoded(entries))
         assert result.found
         assert (result.user_id, result.password) == (b"alice", b"pw123")
         assert result.evaluations == 41
 
     def test_recovered_pair_logs_in(self, cs, victim_card):
-        ex = extract_card(victim_card)
-        result = guess_credentials(ex, encoded([("x", "y"), ("alice", "pw123")]))
+        result = guess_credentials(victim_card, encoded([("x", "y"), ("alice", "pw123")]))
         m1, _ = card_login(victim_card, result.user_id, result.password, b"sid", BlockRng(0, "login"))
         assert m1 is not None
 
     def test_exhausted_dictionary_reports_not_found(self, victim_card):
-        ex = extract_card(victim_card)
-        result = guess_credentials(ex, encoded([("a", "b"), ("c", "d")]))
+        result = guess_credentials(victim_card, encoded([("a", "b"), ("c", "d")]))
         assert not result.found
         assert result.evaluations == 2
 
     def test_lazy_candidates_counted_without_a_length(self, victim_card):
-        ex = extract_card(victim_card)
-        assert guess_credentials(ex, iter(())) == guess_credentials(ex, [])
-        assert guess_credentials(ex, []).evaluations == 0
-        lazy = guess_credentials(ex, (pair for pair in encoded([("a", "b"), ("alice", "pw123")])))
+        assert guess_credentials(victim_card, iter(())) == guess_credentials(victim_card, [])
+        assert guess_credentials(victim_card, []).evaluations == 0
+        lazy = guess_credentials(victim_card, (pair for pair in encoded([("a", "b"), ("alice", "pw123")])))
         assert (lazy.user_id, lazy.password, lazy.evaluations) == (b"alice", b"pw123", 2)
 
     def test_soundness_over_randomized_scenarios(self):
@@ -137,7 +117,7 @@ class TestGuessCredentials:
             k = rnd.randrange(size)
             entries = [(f"u{trial}-{i}", f"p{trial}-{i}") for i in range(size - 1)]
             entries.insert(k, (user_id, password))
-            result = guess_credentials(extract_card(card), encoded(entries))
+            result = guess_credentials(card, encoded(entries))
             assert result.found
             assert result.evaluations == k + 1
             assert (result.user_id, result.password) == (user_id.encode(), password.encode())
@@ -220,8 +200,7 @@ class TestForgeLogin:
         # no victim value and no control-server secret is an input
         cs = ControlServer.generate(BlockRng(3, "cs"))
         attacker_card = enroll_user(cs, b"mallory", b"evilpw", BlockRng(3, "attacker"))
-        own = extract_card(attacker_card)
-        m1, _ = card_login(own, b"mallory", b"evilpw", b"anywhere", BlockRng(3, "forge"))
+        m1, _ = card_login(attacker_card, b"mallory", b"evilpw", b"anywhere", BlockRng(3, "forge"))
         secrets = register_server(cs, b"anywhere")
         m2, _ = server_forward(secrets, m1, BlockRng(3, "server"))
         cs_authenticate(cs, m2, BlockRng(3, "cs2"))
