@@ -1,13 +1,16 @@
 """Command-line behaviour: summaries, exit codes, transcript files."""
 
 import io
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triauth import KINDS
+from triauth import KINDS, MUTATION_TARGETS, ScenarioConfig, run_scenario
 from triauth.cli import main
 
 
@@ -151,3 +154,58 @@ class TestRunNeverRaises:
         argv = ["run", kind, *(f"{flag}={value}" for flag, value in values.items())]
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+# Names of the paths a property draws from, each mapped to a file made by make_paths.
+PATH_NAMES = ("valid.tsv", "malformed.tsv", "latin1.tsv", "dir", "missing", "valid.jsonl", "corrupted.jsonl")
+
+
+@cache
+def transcript_text() -> str:
+    return run_scenario(ScenarioConfig(kind="honest", seed=3)).to_jsonl()
+
+
+def make_paths(root: Path) -> dict[str, str]:
+    """One file of each kind a user might name, written under root; "missing" is not created."""
+    marker = '"payload":"'
+    text = transcript_text()
+    pos = text.index(marker) + len(marker)
+    (root / "valid.tsv").write_text("bob\tx1\nalice\tpw123\n", encoding="utf-8")
+    (root / "malformed.tsv").write_text("no-tab-here\n", encoding="utf-8")
+    (root / "latin1.tsv").write_bytes("alice\tpw\u00e9\n".encode("latin-1"))
+    (root / "dir").mkdir()
+    (root / "valid.jsonl").write_text(text, encoding="utf-8")
+    (root / "corrupted.jsonl").write_text(
+        text[:pos] + ("0" if text[pos] != "0" else "1") + text[pos + 1:], encoding="utf-8"
+    )
+    return {name: str(root / name) for name in PATH_NAMES}
+
+
+@st.composite
+def path_argvs(draw):
+    """verify PATH, or run KIND with --dict PATH and --out PATH each present or not; paths by name."""
+    paths = st.sampled_from(PATH_NAMES)
+    if draw(st.booleans()):
+        return ["verify", draw(paths)]
+    argv = ["run", draw(st.sampled_from(KINDS))]
+    if draw(st.booleans()):
+        argv += ["--dict", draw(paths)]
+    if draw(st.booleans()):
+        argv += ["--out", draw(paths)]
+    if draw(st.booleans()):
+        argv.append("--cross")
+    if argv[1] == "mutation" and draw(st.booleans()):
+        argv += ["--mutate-field", draw(st.sampled_from(sorted(MUTATION_TARGETS)))]
+    return argv
+
+
+class TestPathsNeverRaise:
+    # Each example gets a fresh directory, since --out may overwrite any file in the set.
+    @settings(max_examples=200, deadline=None)
+    @given(path_argvs())
+    def test_exit_code_is_0_1_or_2(self, argv):
+        with tempfile.TemporaryDirectory() as root:
+            paths = make_paths(Path(root))
+            argv = [paths.get(arg, arg) for arg in argv]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)
