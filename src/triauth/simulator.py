@@ -85,10 +85,10 @@ def _keyed(msg, state):
 # receiver.  A row is (message kind, receiver, actor call, checks).  The actor
 # call maps (run, each receiver's session state, message) to (next message,
 # the receiver's new state, its session key or None).  Each check, in the
-# order the actor makes them, is (name, actor error that fails it, what a
-# flipped byte of it is first caught by): a message covers every field it
-# declares, a message.field entry overrides it.  t_i crosses the server
-# unchecked inside M3 and is first verified by the card.
+# order the actor makes them, is (name, actor error that fails it, where a
+# flipped byte is first caught by it): a message name covers every field the
+# message declares, and a message.field entry overrides that for one field.
+# t_i crosses the server unchecked inside M3 and is first verified by the card.
 _STEPS = (
     ("M1", "server", lambda run, states, m1: (*server_forward(run.secrets, m1, run.rng_server), None), ()),
     ("M2", "cs", lambda run, states, m2: _keyed(*cs_authenticate(run.cs, m2, run.rng_cs)), (
