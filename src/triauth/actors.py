@@ -6,7 +6,7 @@ exchange (M1 card->server, M2 server->CS, M3 CS->server, M4 server->card)
 after which all three parties hold the same session key.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crypto import DIGEST_LEN, BlockRng, h, xor
 
@@ -31,21 +31,32 @@ class CSAuthFailed(ProtocolError):
     """The control server's response failed verification downstream."""
 
 
-def _require_digests(**fields: bytes) -> None:
-    for name, value in fields.items():
+def checked(cls):
+    """Pass every record cls builds through cls._checked, which returns the record to keep.
+
+    NamedTuple's _make, which _replace calls, skips __new__, so both are wrapped.
+    """
+    new, make = cls.__new__, cls._make.__func__
+    cls.__new__ = staticmethod(lambda klass, *args, **kwargs: new(klass, *args, **kwargs)._checked())
+    cls._make = classmethod(lambda klass, iterable: make(klass, iterable)._checked())
+    return cls
+
+
+def _require_digests(record, start: int = 0):
+    """Check that each field of record from position start on is a digest; returns record."""
+    for pos, value in enumerate(record[start:], start):
         if len(value) != DIGEST_LEN:
-            raise ValueError(f"{name} must be {DIGEST_LEN} bytes, got {len(value)}")
+            raise ValueError(f"{record._fields[pos]} must be {DIGEST_LEN} bytes, got {len(value)}")
+    return record
 
 
-@dataclass(frozen=True)
-class ControlServer:
+@checked
+class ControlServer(NamedTuple):
     """Registration authority; its master secrets x and y never leave it."""
 
     x: bytes
     y: bytes
-
-    def __post_init__(self):
-        _require_digests(x=self.x, y=self.y)
+    _checked = _require_digests
 
     @classmethod
     def generate(cls, rng: BlockRng) -> "ControlServer":
@@ -56,22 +67,22 @@ class ControlServer:
         return h(self.y)
 
 
-@dataclass(frozen=True)
-class ServerSecrets:
+@checked
+class ServerSecrets(NamedTuple):
     """Per-server provisioning: the two derived keys shared with one server."""
 
     sid: bytes
     k_sid_y: bytes  # h(sid || y)
     k_x_y: bytes    # h(x || y)
 
-    def __post_init__(self):
+    def _checked(self):
         if not self.sid:
             raise ValueError("sid must be non-empty")
-        _require_digests(k_sid_y=self.k_sid_y, k_x_y=self.k_x_y)
+        return _require_digests(self, 1)
 
 
-@dataclass(frozen=True)
-class SmartCard:
+@checked
+class SmartCard(NamedTuple):
     """Values stored on an issued card, plus the holder's random b."""
 
     c_i: bytes
@@ -79,26 +90,22 @@ class SmartCard:
     e_i: bytes
     h_y: bytes
     b: bytes
-
-    def __post_init__(self):
-        _require_digests(c_i=self.c_i, d_i=self.d_i, e_i=self.e_i, h_y=self.h_y, b=self.b)
+    _checked = _require_digests
 
 
-@dataclass(frozen=True)
-class M1:
+@checked
+class M1(NamedTuple):
     """Login request from the card to the service server."""
 
     f_i: bytes
     g_i: bytes
     p_ij: bytes
     cid_i: bytes
-
-    def __post_init__(self):
-        _require_digests(f_i=self.f_i, g_i=self.g_i, p_ij=self.p_ij, cid_i=self.cid_i)
+    _checked = _require_digests
 
 
-@dataclass(frozen=True)
-class M2:
+@checked
+class M2(NamedTuple):
     """Forwarded login plus the server's own proof, sent to the control server."""
 
     m1: M1
@@ -106,38 +113,33 @@ class M2:
     k_i: bytes
     m_i: bytes
 
-    def __post_init__(self):
+    def _checked(self):
         if not self.sid:
             raise ValueError("sid must be non-empty")
-        _require_digests(k_i=self.k_i, m_i=self.m_i)
+        return _require_digests(self, 2)
 
 
-@dataclass(frozen=True)
-class M3:
+@checked
+class M3(NamedTuple):
     """Control server's response to the service server."""
 
     q_i: bytes
     r_i: bytes
     v_i: bytes
     t_i: bytes
-
-    def __post_init__(self):
-        _require_digests(q_i=self.q_i, r_i=self.r_i, v_i=self.v_i, t_i=self.t_i)
+    _checked = _require_digests
 
 
-@dataclass(frozen=True)
-class M4:
+@checked
+class M4(NamedTuple):
     """Final confirmation forwarded from the server to the card."""
 
     v_i: bytes
     t_i: bytes
-
-    def __post_init__(self):
-        _require_digests(v_i=self.v_i, t_i=self.t_i)
+    _checked = _require_digests
 
 
-@dataclass(frozen=True)
-class CardSession:
+class CardSession(NamedTuple):
     """Card-side state kept between sending M1 and checking M4."""
 
     a_i: bytes
@@ -145,16 +147,14 @@ class CardSession:
     n_i1: bytes
 
 
-@dataclass(frozen=True)
-class ServerSession:
+class ServerSession(NamedTuple):
     """Server-side state kept between sending M2 and checking M3."""
 
     n_i2: bytes
     m1: M1
 
 
-@dataclass(frozen=True)
-class CsSession:
+class CsSession(NamedTuple):
     """Everything the control server derived while authenticating one login."""
 
     a_i: bytes
@@ -165,8 +165,7 @@ class CsSession:
     session_key: bytes
 
 
-@dataclass(frozen=True)
-class ServerResult:
+class ServerResult(NamedTuple):
     """Server-side recovered values and the agreed session key."""
 
     session_key: bytes

@@ -6,7 +6,7 @@ stolen card, but not the password typed by its owner.  Neither capability
 includes the control server's master secrets.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .actors import SmartCard
 from .crypto import frame, h, h_pairs, h_prefix, hash_bytes, xor
@@ -19,10 +19,12 @@ def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ..
     distinct passwords in the file are expanded to their full cross product
     (identity-major, both in first-seen order).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only \n ends a line, after an optional \r; str.splitlines() would also split at U+2028 and others.
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         ident, sep, password = line.partition("\t")
@@ -36,8 +38,7 @@ def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ..
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class GuessResult:
+class GuessResult(NamedTuple):
     """Outcome of an offline guessing run, with the work it took."""
 
     user_id: bytes | None
@@ -57,7 +58,7 @@ def guess_credentials(extracted: SmartCard, candidates) -> GuessResult:
     equals the stored c_i.  Returns the first match in candidate order, or
     a not-found result after exhausting the candidates.
     """
-    h_b = h_prefix(extracted.b)
+    h_b, c_i = h_prefix(extracted.b), extracted.c_i
     # h(id, h_y, a_i) hashes frame(id) + tail, where tail = frame(h_y) + frame(a_i) and
     # a_i = h(b, password) depends on the password alone: one tail per distinct password.
     framed_h_y = frame(extracted.h_y)
@@ -67,7 +68,7 @@ def guess_credentials(extracted: SmartCard, candidates) -> GuessResult:
         tail = tails.get(password)
         if tail is None:
             tail = tails[password] = framed_h_y + frame(h_b(password))
-        if hash_bytes(frame(user_id) + tail) == extracted.c_i:
+        if hash_bytes(frame(user_id) + tail) == c_i:
             return GuessResult(user_id=user_id, password=password, evaluations=evaluations)
     return GuessResult(user_id=None, password=None, evaluations=evaluations)
 
@@ -98,11 +99,10 @@ class AdversaryKnowledge:
         return target in h_pairs(self._seen)
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(NamedTuple):
     """Machine-checked outcome of one attack scenario."""
 
     name: str
     success: bool
     work: int
-    recovered: dict = field(default_factory=dict)
+    recovered: dict

@@ -126,7 +126,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     transcript = run_scenario(cfg)
     if args.out:
         try:
-            Path(args.out).write_text(transcript.to_jsonl(), encoding="utf-8")
+            Path(args.out).write_bytes(transcript.to_jsonl().encode("utf-8"))
         except OSError as exc:
             print(f"error: cannot write transcript: {exc}", file=sys.stderr)
             return 2
@@ -138,7 +138,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.transcript).read_text(encoding="utf-8")
+        # Bytes, not read_text: newline translation would hide a CRLF copy from the comparison.
+        text = Path(args.transcript).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read transcript: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,9 @@ final result record.
 """
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import get_args, get_origin
+from typing import NamedTuple, get_args, get_origin
 
 from .actors import (
     M1,
@@ -33,6 +32,7 @@ from .actors import (
     UserAuthFailed,
     card_login,
     card_verify,
+    checked,
     cs_authenticate,
     register_server,
     register_user,
@@ -48,20 +48,21 @@ ARTIFACT_VERSION = "0.1.0"
 
 # --- wire schema ---------------------------------------------------------
 
-# A login message's wire fields are its actor dataclass's fields in
+# A login message's wire fields are its actor record's fields in
 # declaration order, with a nested message's fields in its place: M2 carries
-# the four fields of the M1 it forwards first.
+# the four fields of the M1 it forwards first.  A record class's
+# __annotations__ maps each of its _fields to its type, in the same order.
 WIRE_MESSAGES = {cls.__name__: cls for cls in (M1, M2, M3, M4)}
 
 
 def _wire_layout(cls, prefix: str = "") -> list[tuple[str, str, str]]:
     """(field name, attribute path, declaring message) of each wire field, in order."""
     layout = []
-    for f in fields(cls):
-        if is_dataclass(f.type):
-            layout += _wire_layout(f.type, f"{prefix}{f.name}.")
+    for name, field_type in cls.__annotations__.items():
+        if hasattr(field_type, "_fields"):
+            layout += _wire_layout(field_type, f"{prefix}{name}.")
         else:
-            layout.append((f.name, prefix + f.name, cls.__name__))
+            layout.append((name, prefix + name, cls.__name__))
     return layout
 
 
@@ -70,7 +71,7 @@ WIRE_FIELDS = {kind: tuple(name for name, _, _ in layout) for kind, layout in _L
 _WIRE_VALUES = {kind: attrgetter(*(path for _, path, _ in layout)) for kind, layout in _LAYOUTS.items()}
 # (position, class) of each field of a message that is itself a message.
 _NESTED = {
-    cls: tuple((pos, f.type) for pos, f in enumerate(fields(cls)) if is_dataclass(f.type))
+    cls: tuple((pos, sub) for pos, sub in enumerate(cls.__annotations__.values()) if hasattr(sub, "_fields"))
     for cls in WIRE_MESSAGES.values()
 }
 
@@ -136,9 +137,9 @@ def _utf8_ok(value: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything needed to reproduce one scenario run; validated when built."""
+@checked
+class ScenarioConfig(NamedTuple):
+    """Everything needed to reproduce one scenario run; normalised and validated when built."""
 
     kind: str
     seed: int
@@ -151,14 +152,16 @@ class ScenarioConfig:
     mutation_target: str | None = None
     tap_server_cs_link: bool = True
 
-    def __post_init__(self):
+    def _checked(self) -> "ScenarioConfig":
+        """Lower-case the mutation target and make listed dictionary entries tuples, then validate."""
+        values = self._asdict()
         if isinstance(self.mutation_target, str):
-            object.__setattr__(self, "mutation_target", self.mutation_target.lower())
+            values["mutation_target"] = self.mutation_target.lower()
         if self.dictionary is not None:
-            object.__setattr__(
-                self, "dictionary", tuple(tuple(e) if isinstance(e, list) else e for e in self.dictionary)
-            )
-        self.validate()
+            values["dictionary"] = tuple(tuple(e) if isinstance(e, list) else e for e in self.dictionary)
+        cfg = tuple.__new__(type(self), values.values())
+        cfg.validate()
+        return cfg
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -242,8 +245,7 @@ def decode_message(kind: str, payload: bytes):
 
 # --- transcript records --------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelEvent:
+class ChannelEvent(NamedTuple):
     """One message crossing a channel, with the adversary's action on it."""
 
     step: int
@@ -256,8 +258,7 @@ class ChannelEvent:
     payload: bytes
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verification performed by one party."""
 
     session: int
@@ -266,8 +267,7 @@ class CheckRecord:
     ok: bool
 
 
-@dataclass(frozen=True)
-class PartyOutcome:
+class PartyOutcome(NamedTuple):
     """How one party's session ended: a derived key or an abort reason."""
 
     session: int
@@ -276,8 +276,7 @@ class PartyOutcome:
     abort: str | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Whether the run met the scenario's expectation, with a one-line reason."""
 
     expectations_met: bool
@@ -312,7 +311,7 @@ def _json_writer(types: tuple, omit_none: bool):
 
 
 class _Codec:
-    """Converts one record dataclass to and from its JSON object.
+    """Converts one record class to and from its JSON object.
 
     Bytes fields travel as lowercase hex, keys may be renamed, and a codec
     with omit_none leaves None fields out.  Decoding rejects a value whose
@@ -326,13 +325,12 @@ class _Codec:
         self.cls = cls
         self.tag = tag
         self._omit_none = omit_none
-        spec = [(f.name, rename.get(f.name, f.name), _field_types(f.type)) for f in fields(cls)]
+        spec = [(name, rename.get(name, name), _field_types(t)) for name, t in cls.__annotations__.items()]
         self._keys = tuple(key for _, key, _ in spec)
-        self._values = attrgetter(*(name for name, _, _ in spec))
         self._renamed = tuple((name, key) for name, key, _ in spec if key != name)
         self._hex = tuple((name, key) for name, key, types in spec if bytes in types)
         self._types = tuple((name, types) for name, _, types in spec)
-        # Line plan: ('"key":', position in the value tuple, converter) in sorted
+        # Line plan: ('"key":', position in the record, converter) in sorted
         # key order.  line() appends the tag to the field values, so "record"
         # is one more string value in its sorted place.
         plan = {key: (pos, _json_writer(types, omit_none)) for pos, (_, key, types) in enumerate(spec)}
@@ -344,7 +342,7 @@ class _Codec:
         self._skip = None if omit_none else object()
 
     def encode(self, obj) -> dict:
-        record = dict(zip(self._keys, self._values(obj)))
+        record = dict(zip(self._keys, obj))
         for _, key in self._hex:
             if record[key] is not None:
                 record[key] = record[key].hex()
@@ -356,13 +354,13 @@ class _Codec:
 
     def line(self, obj) -> str:
         """The JSON text _JSON_OUT.encode(self.encode(obj)) gives, written field by field."""
-        values = self._values(obj) + (self.tag,)
+        values = (*obj, self.tag)
         skip = self._skip
         pairs = [key + write(values[pos]) for key, pos, write in self._plan if values[pos] is not skip]
         return "{" + ",".join(pairs) + "}"
 
     def decode(self, record: dict):
-        """Build the dataclass; absent keys take the field default, unknown keys raise TypeError."""
+        """Build the record; absent keys take the field default, unknown keys raise TypeError."""
         kwargs = dict(record)
         if self.tag is not None:
             del kwargs["record"]
@@ -375,7 +373,7 @@ class _Codec:
             if kwargs.get(name) is not None:
                 kwargs[name] = bytes.fromhex(kwargs[name])
         obj = self.cls(**kwargs)
-        for (name, types), value in zip(self._types, self._values(obj)):
+        for (name, types), value in zip(self._types, obj):
             if type(value) not in types:
                 expected = " or ".join(t.__name__ for t in types)
                 raise TypeError(f"{name} must be {expected}, not {type(value).__name__}")
@@ -438,8 +436,7 @@ def _decode_header(lines: list[str]) -> ScenarioConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """Full record of one scenario run; serializes to deterministic JSONL."""
 
     config: ScenarioConfig
@@ -499,8 +496,7 @@ class Transcript:
 
 # --- adversary channel hooks ---------------------------------------------
 
-@dataclass(frozen=True)
-class AdversaryPolicy:
+class AdversaryPolicy(NamedTuple):
     """What the channel adversary does to in-flight messages."""
 
     mode: str = "passive"  # passive | drop | modify
@@ -546,13 +542,13 @@ def adversary_tap(event: ChannelEvent, policy: AdversaryPolicy, rng: BlockRng | 
 
 # --- scenario execution ---------------------------------------------------
 
-@dataclass
 class _Flow:
-    """Each party's session key after one M1..M4 exchange; the fields are named after the receivers in _STEPS."""
+    """Each party's session key after one M1..M4 exchange; the slots are named after the receivers in _STEPS."""
 
-    sk_cs: bytes | None = None
-    sk_server: bytes | None = None
-    sk_card: bytes | None = None
+    __slots__ = ("sk_cs", "sk_server", "sk_card")
+
+    def __init__(self):
+        self.sk_cs = self.sk_server = self.sk_card = None
 
     @property
     def agreement(self) -> bool:

@@ -5,7 +5,6 @@ All checks are exact byte equality unless stated otherwise; the two timed
 criteria assert their stated sub-second budgets.
 """
 
-import dataclasses
 import random
 import string
 import time
@@ -117,27 +116,23 @@ def _flip_random_byte(data: bytes, rnd: random.Random) -> bytes:
 def _expect_abort(run, message_kind, field, trial):
     rnd = random.Random(f"{message_kind}.{field}:{trial}")
     if message_kind == "M1":
-        bad = dataclasses.replace(run.m1, **{field: _flip_random_byte(getattr(run.m1, field), rnd)})
+        bad = run.m1._replace(**{field: _flip_random_byte(getattr(run.m1, field), rnd)})
         m2, _ = server_forward(run.secrets, bad, BlockRng(trial, "server-mut"))
         cs_authenticate(run.cs, m2, BlockRng(trial, "cs-mut"))
     elif message_kind == "M2":
         if field in ("f_i", "g_i", "p_ij", "cid_i"):
-            inner = dataclasses.replace(
-                run.m1, **{field: _flip_random_byte(getattr(run.m1, field), rnd)}
-            )
-            bad = dataclasses.replace(run.m2, m1=inner)
+            inner = run.m1._replace(**{field: _flip_random_byte(getattr(run.m1, field), rnd)})
+            bad = run.m2._replace(m1=inner)
         else:
-            bad = dataclasses.replace(
-                run.m2, **{field: _flip_random_byte(getattr(run.m2, field), rnd)}
-            )
+            bad = run.m2._replace(**{field: _flip_random_byte(getattr(run.m2, field), rnd)})
         cs_authenticate(run.cs, bad, BlockRng(trial, "cs-mut"))
     elif message_kind == "M3":
-        bad = dataclasses.replace(run.m3, **{field: _flip_random_byte(getattr(run.m3, field), rnd)})
+        bad = run.m3._replace(**{field: _flip_random_byte(getattr(run.m3, field), rnd)})
         m4, _ = server_verify(run.secrets, run.server_session, bad)
         # t_i is not covered by the server's check; the card catches it
         card_verify(run.card_session, m4)
     else:  # M4
-        bad = dataclasses.replace(run.m4, **{field: _flip_random_byte(getattr(run.m4, field), rnd)})
+        bad = run.m4._replace(**{field: _flip_random_byte(getattr(run.m4, field), rnd)})
         card_verify(run.card_session, bad)
 
 

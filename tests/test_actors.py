@@ -4,7 +4,6 @@ The reference values come from oracle.py, which recomputes each relation
 straight from hashlib, independent of the package's own helpers.
 """
 
-import dataclasses
 import random
 import sys
 
@@ -147,13 +146,13 @@ class TestCsAuthenticate:
 
     def test_flipped_server_proof_rejected(self):
         run = honest_run(seed=9)
-        bad = dataclasses.replace(run.m2, m_i=flip(run.m2.m_i, 3))
+        bad = run.m2._replace(m_i=flip(run.m2.m_i, 3))
         with pytest.raises(ServerAuthFailed):
             cs_authenticate(run.cs, bad, BlockRng(9, "cs2"))
 
     def test_flipped_login_check_rejected(self):
         run = honest_run(seed=10)
-        bad = dataclasses.replace(run.m2, m1=dataclasses.replace(run.m1, g_i=flip(run.m1.g_i, 0)))
+        bad = run.m2._replace(m1=run.m1._replace(g_i=flip(run.m1.g_i, 0)))
         with pytest.raises(UserAuthFailed):
             cs_authenticate(run.cs, bad, BlockRng(10, "cs2"))
 
@@ -169,7 +168,7 @@ class TestServerVerify:
 
     def test_flipped_r_rejected(self):
         run = honest_run(seed=13)
-        bad = dataclasses.replace(run.m3, r_i=flip(run.m3.r_i, 5))
+        bad = run.m3._replace(r_i=flip(run.m3.r_i, 5))
         with pytest.raises(CSAuthFailed):
             server_verify(run.secrets, run.server_session, bad)
 
@@ -186,7 +185,7 @@ class TestCardVerify:
     def test_flipped_t_rejected(self):
         run = honest_run(seed=16)
         with pytest.raises(CSAuthFailed):
-            card_verify(run.card_session, dataclasses.replace(run.m4, t_i=flip(run.m4.t_i, 1)))
+            card_verify(run.card_session, run.m4._replace(t_i=flip(run.m4.t_i, 1)))
 
     def test_stale_m4_rejected_by_fresh_session(self):
         stale = honest_run(seed=17)
@@ -220,7 +219,7 @@ def test_key_agreement_for_any_credentials(user_id, password, sid, seed):
 def test_any_single_byte_flip_in_m1_aborts(seed, pos, mask):
     run = honest_run(seed=seed)
     field = ("f_i", "g_i", "p_ij", "cid_i")[seed % 4]
-    bad_m1 = dataclasses.replace(run.m1, **{field: flip(getattr(run.m1, field), pos, mask)})
+    bad_m1 = run.m1._replace(**{field: flip(getattr(run.m1, field), pos, mask)})
     m2, _ = server_forward(run.secrets, bad_m1, BlockRng(seed, "server2"))
     with pytest.raises(UserAuthFailed):
         cs_authenticate(run.cs, m2, BlockRng(seed, "cs2"))
@@ -274,3 +273,41 @@ def test_honest_run_hash_cost_per_actor():
     counts = hash_calls_in_run(ScenarioConfig(kind="honest", seed=1))
     assert counts.pop("total") == (41, 52)
     assert counts == HONEST_HASH_COST
+
+
+# honest_run attribute -> the digest fields of the record it holds, which is checked when built
+CHECKED_RECORDS = {
+    "cs": ("x", "y"),
+    "secrets": ("k_sid_y", "k_x_y"),
+    "card": ("c_i", "d_i", "e_i", "h_y", "b"),
+    "m1": ("f_i", "g_i", "p_ij", "cid_i"),
+    "m2": ("k_i", "m_i"),
+    "m3": ("q_i", "r_i", "v_i", "t_i"),
+    "m4": ("v_i", "t_i"),
+}
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("attr, field", [(a, f) for a, fields in CHECKED_RECORDS.items() for f in fields])
+    def test_replace_with_a_short_digest_raises(self, attr, field):
+        record = getattr(honest_run(seed=20), attr)
+        with pytest.raises(ValueError, match=f"^{field} must be 32 bytes, got 31$"):
+            record._replace(**{field: getattr(record, field)[:31]})
+
+    @pytest.mark.parametrize("attr", CHECKED_RECORDS)
+    def test_make_with_a_short_digest_raises(self, attr):
+        record = getattr(honest_run(seed=20), attr)
+        assert type(record)._make(record) == record
+        with pytest.raises(ValueError, match="must be 32 bytes, got 31"):
+            type(record)._make((*record[:-1], record[-1][:31]))
+
+    @pytest.mark.parametrize("attr", ["secrets", "m2"])
+    def test_replace_with_an_empty_sid_raises(self, attr):
+        with pytest.raises(ValueError, match="sid must be non-empty"):
+            getattr(honest_run(seed=20), attr)._replace(sid=b"")
+
+    @pytest.mark.parametrize("attr", ["card_session", "server_session", "cs_session", "server_result", *CHECKED_RECORDS])
+    def test_setting_a_field_raises(self, attr):
+        record = getattr(honest_run(seed=20), attr)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[-1], b"\0" * 32)

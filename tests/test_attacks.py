@@ -1,6 +1,5 @@
 """Attack tests: card extraction, offline guessing, masquerade, replay."""
 
-import dataclasses
 import random
 
 import pytest
@@ -68,6 +67,19 @@ class TestDictionary:
         path.write_text("no-tab-here\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_dictionary_file(path)
+
+    def test_only_a_newline_ends_an_entry(self, tmp_path):
+        # str.splitlines() would also split at each of these characters
+        odd = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        path = tmp_path / "dict.tsv"
+        path.write_bytes(f"alice\tpw{odd}x\ncarol\tzz\r\n\r\ndave\ty\rz\n".encode("utf-8"))
+        assert read_dictionary_file(path) == (("alice", f"pw{odd}x"), ("carol", "zz"), ("dave", "y\rz"))
+
+    def test_crlf_file_parses_like_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes(b"bob\tx1\nalice\tpw123\n")
+        crlf.write_bytes(b"bob\tx1\r\nalice\tpw123\r\n")
+        assert read_dictionary_file(crlf) == read_dictionary_file(lf) == (("bob", "x1"), ("alice", "pw123"))
 
     def test_cross_product_expansion(self, tmp_path):
         path = tmp_path / "dict.tsv"
@@ -224,7 +236,7 @@ class TestReplayLogin:
 
     def test_mutated_replay_rejected(self):
         run = honest_run(seed=6)
-        bad = dataclasses.replace(run.m1, g_i=flip(run.m1.g_i, 0))
+        bad = run.m1._replace(g_i=flip(run.m1.g_i, 0))
         m2, _ = server_forward(run.secrets, bad, BlockRng(60, "server"))
         with pytest.raises(UserAuthFailed):
             cs_authenticate(run.cs, m2, BlockRng(60, "cs2"))

@@ -1,6 +1,9 @@
 """Command-line behaviour: summaries, exit codes, transcript files."""
 
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triauth import KINDS, MUTATION_TARGETS, ScenarioConfig, run_scenario
+from triauth import KINDS, MUTATION_TARGETS, ScenarioConfig, run_scenario, verify_transcript
 from triauth.cli import main
 
 
@@ -80,6 +83,15 @@ class TestRunCommand:
         assert code == 1
         assert "recovered credentials: none" in capsys.readouterr().out
 
+    def test_password_with_a_line_separator_is_recovered(self, tmp_path, capsys):
+        path = tmp_path / "sep.tsv"
+        path.write_text("bob\tx1\nalice\tpw\u2028123\n", encoding="utf-8")
+        code = run_cli("run", "guess", "--seed", "1", "--dict", str(path), "--password", "pw\u2028123")
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "recovered credentials: alice pw\u2028123" in stdout
+        assert "evaluations: 2" in stdout
+
     def test_cross_product_dictionary(self, tmp_path, capsys):
         path = tmp_path / "cross.tsv"
         # true pair only appears when the cross product is expanded
@@ -112,6 +124,17 @@ class TestVerifyCommand:
         text = text[:pos] + ("0" if text[pos] != "0" else "1") + text[pos + 1:]
         out.write_text(text, encoding="utf-8")
         assert run_cli("verify", str(out)) == 1
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_copy_with_other_line_ends_fails(self, newline, tmp_path, capsys):
+        out = tmp_path / "t.log"
+        assert run_cli("run", "honest", "--seed", "3", "--out", str(out)) == 0
+        assert b"\r" not in out.read_bytes()
+        assert run_cli("verify", str(out)) == 0
+        copy = tmp_path / "copy.log"
+        copy.write_bytes(out.read_bytes().replace(b"\n", newline))
+        assert verify_transcript(copy.read_bytes().decode("utf-8"))[0] == 1
+        assert run_cli("verify", str(copy)) == 1
 
     def test_malformed_file_is_status_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.log"
@@ -209,3 +232,16 @@ class TestPathsNeverRaise:
             argv = [paths.get(arg, arg) for arg in argv]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)
+
+
+class TestStartUp:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Each costs milliseconds at every start of the command.  -S keeps .pth
+        # files in site-packages from importing modules of their own.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, triauth.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert child.stdout == "[]\n"

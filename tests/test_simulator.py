@@ -1,6 +1,5 @@
 """Scenario runner tests: determinism, transcripts, adversary hooks."""
 
-import dataclasses
 import json
 import typing
 
@@ -45,20 +44,33 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="nope", seed=1).validate()
         with pytest.raises(ConfigError):
-            dataclasses.replace(config("honest"), kind="nope")
+            config("honest")._replace(kind="nope")
 
     def test_non_integer_seed_rejected(self):
-        # a config is validated when built, so replace() cannot make an invalid one
+        # a config is validated when built, so _replace() cannot make an invalid one
         with pytest.raises(ConfigError):
-            dataclasses.replace(config("honest"), seed="1")
+            config("honest")._replace(seed="1")
 
     def test_seed_past_the_decimal_digit_limit_rejected(self):
         # BlockRng writes the seed in decimal, which Python refuses past 4300 digits
         with pytest.raises(ConfigError, match="too many digits"):
             ScenarioConfig(kind="honest", seed=10**5000)
         with pytest.raises(ConfigError, match="too many digits"):
-            dataclasses.replace(config("honest"), seed=-(10**5000))
+            config("honest")._replace(seed=-(10**5000))
         assert run_scenario(config("honest", seed=10**4299)).result.expectations_met
+
+    def test_replace_and_make_normalise(self):
+        cfg = config("mutation")._replace(mutation_target="M4.T_I", tap_server_cs_link=False)
+        assert cfg.mutation_target == "m4.t_i" and cfg == ScenarioConfig._make(cfg)
+        values = config("guess")._asdict() | {"dictionary": [["alice", "pw123"]]}
+        assert ScenarioConfig._make(values.values()).dictionary == (("alice", "pw123"),)
+        with pytest.raises(ConfigError, match="not on a tapped link"):
+            cfg._replace(mutation_target="m2.m_i")
+
+    @pytest.mark.parametrize("name", ["kind", "seed", "dictionary"])
+    def test_setting_a_field_raises(self, name):
+        with pytest.raises(AttributeError):
+            setattr(config("honest"), name, None)
 
     def test_guess_requires_dictionary(self):
         with pytest.raises(ConfigError):
@@ -229,7 +241,7 @@ def codec_records(draw):
     codec = draw(st.sampled_from(list(simulator._CODECS.values())))
     if codec.cls is ScenarioConfig:
         return codec, draw(scenario_configs())
-    return codec, codec.cls(**{f.name: draw(field_values(f.type)) for f in dataclasses.fields(codec.cls)})
+    return codec, codec.cls(**{name: draw(field_values(codec.cls.__annotations__[name])) for name in codec.cls._fields})
 
 
 class TestLinePlanProperty:
