@@ -76,6 +76,29 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="guess", seed=1).validate()
 
+    @pytest.mark.parametrize("entry, message", [
+        ("ab", "bad dictionary entry: 'ab'"),
+        (("a", "b", "c"), "bad dictionary entry: ('a', 'b', 'c')"),
+        (("a",), "bad dictionary entry: ('a',)"),
+        (("a", 1), "bad dictionary entry: ('a', 1)"),
+        ((None, "pw"), "bad dictionary entry: (None, 'pw')"),
+        (("", "pw"), "bad dictionary entry: ('', 'pw')"),
+        (("a", ""), "bad dictionary entry: ('a', '')"),
+        (("\udcff", "pw"), "dictionary entry is not valid UTF-8: ('\\udcff', 'pw')"),
+        (("a", "p\udcffw"), "dictionary entry is not valid UTF-8: ('a', 'p\\udcffw')"),
+    ])
+    def test_bad_dictionary_entry_message(self, entry, message):
+        # the same message whether the entry is built directly or decoded from JSON lists
+        dictionary = (("bob", "x1"), entry)
+        with pytest.raises(ConfigError) as direct:
+            ScenarioConfig(kind="guess", seed=1, dictionary=dictionary)
+        assert str(direct.value) == message
+        data = json.loads(json.dumps(config("guess").to_dict() | {"dictionary": dictionary}))
+        assert data["dictionary"][1] == (list(entry) if isinstance(entry, tuple) else entry)
+        with pytest.raises(ConfigError) as decoded:
+            ScenarioConfig.from_dict(data)
+        assert str(decoded.value) == message
+
     def test_dictionary_only_for_guess(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="honest", seed=1, dictionary=SMALL_DICT).validate()
