@@ -9,7 +9,7 @@ includes the control server's master secrets.
 from typing import NamedTuple
 
 from .actors import SmartCard
-from .crypto import frame, h, h_pairs, h_prefix, hash_bytes, xor
+from .crypto import DIGEST_LEN, _pack_len, frame, h, h_pairs, hash_bytes, xor
 
 
 def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ...]:
@@ -58,17 +58,17 @@ def guess_credentials(extracted: SmartCard, candidates) -> GuessResult:
     equals the stored c_i.  Returns the first match in candidate order, or
     a not-found result after exhausting the candidates.
     """
-    h_b, c_i = h_prefix(extracted.b), extracted.c_i
     # h(id, h_y, a_i) hashes frame(id) + tail, where tail = frame(h_y) + frame(a_i) and
     # a_i = h(b, password) depends on the password alone: one tail per distinct password.
-    framed_h_y = frame(extracted.h_y)
+    # Each hash input is framed inline, as concat() frames it: a_i is a DIGEST_LEN digest.
+    framed_b, tail_head, c_i = frame(extracted.b), frame(extracted.h_y) + _pack_len(DIGEST_LEN), extracted.c_i
     tails = {}
     evaluations = 0
     for evaluations, (user_id, password) in enumerate(candidates, start=1):
         tail = tails.get(password)
         if tail is None:
-            tail = tails[password] = framed_h_y + frame(h_b(password))
-        if hash_bytes(frame(user_id) + tail) == c_i:
+            tail = tails[password] = tail_head + hash_bytes(framed_b + _pack_len(len(password)) + password)
+        if hash_bytes(_pack_len(len(user_id)) + user_id + tail) == c_i:
             return GuessResult(user_id=user_id, password=password, evaluations=evaluations)
     return GuessResult(user_id=None, password=None, evaluations=evaluations)
 

@@ -73,16 +73,6 @@ def h_pairs(values):
             yield pair.digest()
 
 
-def h_prefix(*head: bytes):
-    """Return finish(*tail) == h(*head, *tail), hashing the head once; needs two or more parts in all."""
-    state = hashlib.sha256(concat(*head))
-    def finish(*tail: bytes) -> bytes:
-        pair = state.copy()
-        pair.update(concat(*tail))
-        return pair.digest()
-    return finish
-
-
 class BlockRng:
     """Deterministic stream of DIGEST_LEN blocks for one (seed, label) pair.
 

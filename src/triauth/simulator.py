@@ -185,9 +185,12 @@ class ScenarioConfig(NamedTuple):
             if not self.dictionary:
                 raise ConfigError("guess scenario requires a dictionary")
             for entry in self.dictionary:
-                if not isinstance(entry, tuple) or len(entry) != 2 or not all(isinstance(v, str) and v for v in entry):
+                if not isinstance(entry, tuple) or len(entry) != 2:
                     raise ConfigError(f"bad dictionary entry: {entry!r}")
-                if not ((entry[0].isascii() and entry[1].isascii()) or all(map(_utf8_ok, entry))):
+                ident, password = entry
+                if not (isinstance(ident, str) and ident and isinstance(password, str) and password):
+                    raise ConfigError(f"bad dictionary entry: {entry!r}")
+                if not ((ident.isascii() and password.isascii()) or (_utf8_ok(ident) and _utf8_ok(password))):
                     raise ConfigError(f"dictionary entry is not valid UTF-8: {entry!r}")
         elif self.dictionary is not None:
             raise ConfigError("dictionary is only valid for guess scenarios")
@@ -283,7 +286,8 @@ class ScenarioResult(NamedTuple):
     detail: str
 
 
-_JSON_OUT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# No record or header contains itself, so the encoder skips the cycle check it makes per container.
+_JSON_OUT = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 _JSON_IN = json.JSONDecoder()
 
 # The JSON text _JSON_OUT writes for a value of each declared field type;
@@ -416,15 +420,15 @@ def _header(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _decode_header(lines: list[str]) -> ScenarioConfig:
-    """The run a transcript's first line names; raises ConfigError or TranscriptFormatError.
+def _decode_header(line: str) -> ScenarioConfig:
+    """The run a transcript's header line names; raises ConfigError or TranscriptFormatError.
 
     Every header field must be exactly what a fresh run of that config
     writes, so a damaged header is reported, never re-run as another scenario.
     """
-    if not lines or not lines[0].strip():
+    if not line.strip():
         raise TranscriptFormatError("empty transcript")
-    header = _loads(lines[0], 1)
+    header = _loads(line, 1)
     if header.get("record") != "header":
         raise TranscriptFormatError("first record must be the header")
     if "config" not in header:
@@ -457,10 +461,12 @@ class Transcript(NamedTuple):
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        lines = [line for line in text.splitlines() if line.strip()]
+        r"""Decode a transcript.  Only \n ends a line, so a raw U+2028 stays inside its string;
+        a CRLF copy decodes like the original, because \r is JSON whitespace."""
+        lines = [line for line in text.split("\n") if line.strip()]
         found = {tag: [] for tag in _BY_TAG}
         try:
-            config = _decode_header(lines)
+            config = _decode_header(lines[0] if lines else "")
             for lineno, line in enumerate(lines[1:], start=2):
                 record = _loads(line, lineno)
                 codec = _BY_TAG.get(record.get("record"))
@@ -824,7 +830,9 @@ def verify_transcript(text: str) -> tuple[int, str]:
     value deviates, (2, ...) when the transcript cannot be parsed.
     """
     try:
-        cfg = _decode_header(text.splitlines())
+        # The header is the first line.  A raw \r cannot sit inside a JSON string, so it
+        # ends the header too, and a CR or CRLF copy is re-run and found inconsistent.
+        cfg = _decode_header(text.partition("\n")[0].partition("\r")[0])
     except (TranscriptFormatError, ConfigError) as exc:
         return 2, f"malformed transcript: {exc}"
     regenerated = run_scenario(cfg).to_jsonl()

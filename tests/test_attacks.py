@@ -117,6 +117,15 @@ class TestGuessCredentials:
         lazy = guess_credentials(victim_card, (pair for pair in encoded([("a", "b"), ("alice", "pw123")])))
         assert (lazy.user_id, lazy.password, lazy.evaluations) == (b"alice", b"pw123", 2)
 
+    @pytest.mark.parametrize("true_at, expected", [((299,), 300), ((), None), ((120, 299), 121)])
+    def test_distinct_passwords_match_brute_force(self, victim_card, true_at, expected):
+        # 300 pairs with no repeated password but the true one; the true identity meets wrong passwords
+        decoys = iter(encoded(("alice" if i % 7 == 0 else f"user{i}", f"pass{i}") for i in range(300)))
+        candidates = [(b"alice", b"pw123") if k in true_at else next(decoys) for k in range(300)]
+        result = guess_credentials(victim_card, candidates)
+        assert result == GuessResult(*ref_guess(victim_card, candidates))
+        assert result.found == (expected is not None) and result.evaluations == (expected or 300)
+
     def test_soundness_over_randomized_scenarios(self):
         # whenever the true pair is present, exactly it is recovered
         rnd = random.Random(2024)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triauth import DIGEST_LEN, BlockRng, concat, h, hash_bytes, split_concat, xor
-from triauth.crypto import frame, h_pairs, h_prefix
+from triauth.crypto import frame, h_pairs
 
 from oracle import SHA256_ABC, SHA256_EMPTY, ref_h, ref_parse
 
@@ -48,19 +48,6 @@ class TestMidstateHashes:
     @given(st.lists(st.one_of(st.binary(max_size=8), digests, st.binary(min_size=65, max_size=80)), max_size=5))
     def test_h_pairs_is_every_ordered_pair_a_major(self, vs):
         assert list(h_pairs(vs)) == [ref_h(a, b) for a in vs for b in vs]
-
-    def test_h_prefix_matches_h_over_every_split(self):
-        long_part = bytes(range(70))
-        parts = (b"id", b"", hash_bytes(b"y"), long_part)
-        for cut in range(len(parts) + 1):
-            head, tail = parts[:cut], parts[cut:]
-            assert h_prefix(*head)(*tail) == ref_h(*parts)
-        assert h_prefix(long_part)(b"") == ref_h(long_part, b"")
-        assert h_prefix(long_part, b"x")() == ref_h(long_part, b"x")
-
-    def test_h_prefix_is_reusable(self):
-        finish = h_prefix(b"b")
-        assert [finish(p) for p in (b"p1", b"p2", b"p1")] == [ref_h(b"b", p) for p in (b"p1", b"p2", b"p1")]
 
 
 class TestXor:

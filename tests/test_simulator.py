@@ -520,6 +520,19 @@ class TestVerifyTranscript:
         with pytest.raises(TranscriptFormatError):
             Transcript.from_jsonl(huge)
 
+    def test_raw_line_separator_in_a_header_string(self):
+        # JSON allows a raw U+2028 in a string, and ensure_ascii=False writes one
+        text = run_scenario(config("honest", seed=36)).to_jsonl()
+        header, rest = text.split("\n", 1)
+        record = json.loads(header)
+        record["config"]["password"] = "pw\u2028123"
+        edited = json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n" + rest
+        assert "\u2028" in edited
+        assert Transcript.from_jsonl(edited).config == config("honest", seed=36, password="pw\u2028123")
+        assert verify_transcript(edited)[0] == 1
+        # \r is JSON whitespace, so a CRLF copy decodes like the original
+        assert Transcript.from_jsonl(text.replace("\n", "\r\n")) == Transcript.from_jsonl(text)
+
     def test_from_jsonl_rejects_missing_result(self):
         text = run_scenario(config("honest", seed=32)).to_jsonl()
         trimmed = "\n".join(text.splitlines()[:-1]) + "\n"
