@@ -179,8 +179,6 @@ def register_server(cs: ControlServer, sid: bytes) -> ServerSecrets:
     The control server keeps no per-server record; both keys are
     re-derivable from its master secrets.
     """
-    if not sid:
-        raise ValueError("sid must be non-empty")
     return ServerSecrets(sid=sid, k_sid_y=h(sid, cs.y), k_x_y=h(cs.x, cs.y))
 
 

@@ -16,6 +16,7 @@ from .simulator import (
     ConfigError,
     ScenarioConfig,
     Transcript,
+    keys_agree,
     run_scenario,
     verify_transcript,
 )
@@ -33,11 +34,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("kind", choices=KINDS, help="scenario kind")
     run_p.add_argument("--seed", type=int, default=0, help="scenario seed (default 0)")
     run_p.add_argument("--out", help="write the transcript to this path")
-    run_p.add_argument("--id", dest="user_id", default="alice", help="victim identity")
-    run_p.add_argument("--password", default="pw123", help="victim password")
-    run_p.add_argument("--sid", default="server-1", help="service server identity")
-    run_p.add_argument("--attacker-id", default="mallory", help="masquerade: attacker identity")
-    run_p.add_argument("--attacker-password", default="letmein", help="masquerade: attacker password")
+    defaults = ScenarioConfig._field_defaults
+    run_p.add_argument("--id", dest="user_id", default=defaults["user_id"], help="victim identity")
+    run_p.add_argument("--password", default=defaults["password"], help="victim password")
+    run_p.add_argument("--sid", default=defaults["sid"], help="service server identity")
+    run_p.add_argument("--attacker-id", default=defaults["attacker_id"], help="masquerade: attacker identity")
+    run_p.add_argument(
+        "--attacker-password", default=defaults["attacker_password"], help="masquerade: attacker password",
+    )
     run_p.add_argument("--dict", dest="dict_path", help="guess: candidate file, one id<TAB>password per line")
     run_p.add_argument(
         "--cross", action="store_true",
@@ -93,8 +97,7 @@ def summarize(transcript: Transcript) -> list[str]:
             lines.append(f"[s{outcome.session}] {outcome.party} session key: {outcome.session_key.hex()}")
 
     report = transcript.report
-    keys = transcript.session_keys(1)
-    agree = len(keys) == 3 and len(set(keys.values())) == 1
+    agree = keys_agree(transcript.session_keys(1))
     if cfg.kind == "honest":
         lines.append(f"SK agreement: {'yes' if agree else 'no'}")
     elif cfg.kind == "replay":
@@ -159,9 +162,5 @@ def main(argv=None) -> int:
     return cmd_verify(args)
 
 
-def run_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run_main()
+    sys.exit(main())

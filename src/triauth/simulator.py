@@ -510,9 +510,6 @@ class AdversaryPolicy(NamedTuple):
     target_field: str | None = None
 
 
-PASSIVE = AdversaryPolicy()
-
-
 def flip_byte(data: bytes, rng: BlockRng) -> bytes:
     """XOR one random byte of data with a random non-zero mask."""
     if not data:
@@ -548,29 +545,25 @@ def adversary_tap(event: ChannelEvent, policy: AdversaryPolicy, rng: BlockRng | 
 
 # --- scenario execution ---------------------------------------------------
 
-class _Flow:
-    """Each party's session key after one M1..M4 exchange; the slots are named after the receivers in _STEPS."""
-
-    __slots__ = ("sk_cs", "sk_server", "sk_card")
-
-    def __init__(self):
-        self.sk_cs = self.sk_server = self.sk_card = None
-
-    @property
-    def agreement(self) -> bool:
-        keys = {self.sk_card, self.sk_server, self.sk_cs}
-        return None not in keys and len(keys) == 1
+def keys_agree(keys: dict) -> bool:
+    """True when all three parties of one session hold the same key."""
+    return len(keys) == 3 and len(set(keys.values())) == 1
 
 
 class _Run:
     """One scenario run: its seeded streams and actors, and what it records.
 
     Building it registers the victim.  It holds the event log, checks,
-    outcomes and the adversary's knowledge.
+    outcomes and the adversary's knowledge.  The config fixes the channel
+    adversary's policy: a mutation run flips a byte of its target field, and
+    every other run is passive.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
+        self.policy = AdversaryPolicy()
+        if cfg.kind == "mutation":
+            self.policy = AdversaryPolicy("modify", *MUTATION_TARGETS[cfg.mutation_target][:2])
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
@@ -618,16 +611,7 @@ class _Run:
         self.record_secure(0, "cs", party, "CardIssue", concat(card.c_i, card.d_i, card.e_i, card.h_y))
         return card
 
-    def send(
-        self,
-        session: int,
-        sender: str,
-        receiver: str,
-        kind: str,
-        msg,
-        policy: AdversaryPolicy,
-        injected: bool = False,
-    ):
+    def send(self, session: int, sender: str, receiver: str, kind: str, msg, injected: bool = False):
         """Put a message on an open channel; returns the delivered message or None."""
         payload = encode_message(kind, msg)
         # Every event is logged exactly once, so its step is its index in the log.
@@ -641,7 +625,7 @@ class _Run:
         if backhaul and not self.cfg.tap_server_cs_link:
             self.events.append(event)
             return msg
-        event = adversary_tap(event, policy, self.rng_adv)
+        event = adversary_tap(event, self.policy, self.rng_adv)
         self.events.append(event)
         self._observe(kind, msg, payload)
         if event.action == "dropped":
@@ -656,30 +640,31 @@ class _Run:
         session: int,
         m1: M1,
         card_session: CardSession | None,
-        policy: AdversaryPolicy = PASSIVE,
         *,
         user_party: str = "card",
         m1_sender: str = "user",
-    ) -> _Flow:
+    ) -> dict[str, bytes]:
         """Drive one M1..M4 exchange through _STEPS, recording checks and outcomes as they happen.
+
+        Returns the session key of each receiver in _STEPS that reached one.
 
         user_party holds the card and is "user" on the wire when it is the
         victim's card.  An M1 that the user did not send is injected.  With no
         card session, M4 is sent and nobody checks it.
         """
-        flow = _Flow()
+        keys = {}
         states = {"card": card_session}
         sender, msg = m1_sender, m1
         for kind, receiver, act, checks in _STEPS:
             party = user_party if receiver == "card" else receiver
             wire_receiver = "user" if party == "card" else party
             injected = kind == "M1" and sender != "user"
-            msg = self.send(session, sender, wire_receiver, kind, msg, policy, injected=injected)
+            msg = self.send(session, sender, wire_receiver, kind, msg, injected=injected)
             if receiver == "card" and card_session is None:
-                return flow
+                return keys
             if msg is None:
                 self.abort(session, party, f"undelivered:{kind}")
-                return flow
+                return keys
             failed = None
             try:
                 msg, states[receiver], key = act(self, states, msg)
@@ -689,22 +674,22 @@ class _Run:
                 self.check(session, party, name, abort is not failed)
                 if abort is failed:
                     self.abort(session, party, abort.__name__)
-                    return flow
+                    return keys
             if key is not None:
                 self.key(session, party, key)
-                setattr(flow, f"sk_{receiver}", key)
+                keys[receiver] = key
             sender = wire_receiver
-        return flow
+        return keys
 
-    def victim_session(self, user_id: bytes, password: bytes, policy: AdversaryPolicy = PASSIVE) -> _Flow:
-        """Session 1 from the victim's card; an empty flow if the card rejects the credentials."""
+    def victim_session(self, user_id: bytes, password: bytes) -> dict[str, bytes]:
+        """Session 1 from the victim's card; no keys if the card rejects the credentials."""
         try:
             m1, card_session = card_login(self.card, user_id, password, self.sid, self.rng_user)
         except LocalCheckFailed:
             self.check(1, "card", "card_local_check", False)
-            return _Flow()
+            return {}
         self.check(1, "card", "card_local_check", True)
-        return self.exchange(1, m1, card_session, policy)
+        return self.exchange(1, m1, card_session)
 
 
 def _yes(flag: bool) -> str:
@@ -712,7 +697,7 @@ def _yes(flag: bool) -> str:
 
 
 def _honest(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
-    agree = run.victim_session(run.user_id, run.password).agreement
+    agree = keys_agree(run.victim_session(run.user_id, run.password))
     abort = run.first_abort()
     detail = "session keys agree" if agree else (
         f"abort {abort[1]} at {abort[0]}" if abort else "session keys disagree"
@@ -724,9 +709,9 @@ def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     run.victim_session(run.user_id, run.password)
     # Nothing in M1 binds it to a session, so the byte-exact copy passes again.
     captured = decode_message("M1", next(e.payload for e in run.events if e.kind == "M1"))
-    flow = run.exchange(2, captured, None, m1_sender="adversary")
-    accepted = flow.sk_cs is not None and flow.sk_server is not None
-    knows_sk = flow.sk_cs is not None and run.knowledge.knows(flow.sk_cs)
+    keys = run.exchange(2, captured, None, m1_sender="adversary")
+    accepted = "cs" in keys and "server" in keys
+    knows_sk = "cs" in keys and run.knowledge.knows(keys["cs"])
     report = AttackReport(
         name="replay", success=accepted, work=1,
         recovered={"adversary_knows_session_key": _yes(knows_sk)},
@@ -745,22 +730,22 @@ def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     attacker_password = run.cfg.attacker_password.encode("utf-8")
     card = run.register("attacker", attacker_id, attacker_password, run.rng_attacker)
     m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, run.rng_attacker)
-    flow = run.exchange(1, m1, card_session, user_party="attacker", m1_sender="attacker")
+    keys = run.exchange(1, m1, card_session, user_party="attacker", m1_sender="attacker")
+    agree = keys_agree(keys)
     report = AttackReport(
-        name="masquerade", success=flow.agreement, work=1,
-        recovered={"shared_session_key": _yes(flow.agreement)},
+        name="masquerade", success=agree, work=1, recovered={"shared_session_key": _yes(agree)},
     )
     detail = (
-        f"forged M1 accepted by CS: {_yes(flow.sk_cs is not None)}; "
-        f"attacker, server, and CS share one key: {_yes(flow.agreement)}"
+        f"forged M1 accepted by CS: {_yes('cs' in keys)}; "
+        f"attacker, server, and CS share one key: {_yes(agree)}"
     )
-    return report, ScenarioResult(expectations_met=flow.agreement, detail=detail)
+    return report, ScenarioResult(expectations_met=agree, detail=detail)
 
 
 def _guess(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     candidates = ((ident.encode("utf-8"), password.encode("utf-8")) for ident, password in run.cfg.dictionary)
     guess = guess_credentials(run.card, candidates)
-    success = guess.found and run.victim_session(guess.user_id, guess.password).agreement
+    success = guess.found and keys_agree(run.victim_session(guess.user_id, guess.password))
     recovered = {}
     if guess.found:
         recovered = {
@@ -779,9 +764,8 @@ def _guess(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
 
 def _mutation(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     target = run.cfg.mutation_target
-    message_kind, field_name, expected_abort, expected_party = MUTATION_TARGETS[target]
-    policy = AdversaryPolicy(mode="modify", target_kind=message_kind, target_field=field_name)
-    run.victim_session(run.user_id, run.password, policy)
+    expected_abort, expected_party = MUTATION_TARGETS[target][2:]
+    run.victim_session(run.user_id, run.password)
     abort = run.first_abort()
     expected = f"(expected {expected_abort} at {expected_party})"
     if abort:

@@ -245,3 +245,24 @@ class TestStartUp:
             capture_output=True, text=True, check=True,
         )
         assert child.stdout == "[]\n"
+
+
+class TestModuleExit:
+    # `python -m triauth.cli` passes main()'s return value to sys.exit, so the
+    # process status is the command's status.
+    def _cli(self, *args, cwd):
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "triauth.cli", *args], cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+
+    def test_process_exits_with_the_command_status(self, tmp_path):
+        assert self._cli("run", "honest", "--out", "t.jsonl", cwd=tmp_path).returncode == 0
+        text = (tmp_path / "t.jsonl").read_text(encoding="utf-8")
+        marker = '"payload":"'
+        pos = text.index(marker) + len(marker)
+        (tmp_path / "c.jsonl").write_text(text[:pos] + ("0" if text[pos] != "0" else "1") + text[pos + 1:], encoding="utf-8")
+        assert self._cli("verify", "t.jsonl", cwd=tmp_path).returncode == 0
+        assert self._cli("verify", "c.jsonl", cwd=tmp_path).returncode == 1
+        assert self._cli("verify", "missing.jsonl", cwd=tmp_path).returncode == 2

@@ -400,9 +400,9 @@ class TestAdversaryTap:
         from triauth.simulator import _Run
 
         run = _Run(config("honest", seed=27))
-        policy = AdversaryPolicy(mode="drop", target_kind="M4")
-        flow = run.victim_session(run.user_id, run.password, policy)
-        assert flow.sk_card is None
+        run.policy = AdversaryPolicy(mode="drop", target_kind="M4")
+        keys = run.victim_session(run.user_id, run.password)
+        assert "card" not in keys
         m4_events = [e for e in run.events if e.kind == "M4"]
         assert [e.action for e in m4_events] == ["dropped"]
         card_outcome = [o for o in run.outcomes if o.party == "card"]
@@ -459,7 +459,8 @@ class TestDropPath:
     @pytest.mark.parametrize("kind, tap", sorted(DROP_RUNS), ids=lambda v: v if isinstance(v, str) else f"tap={v}")
     def test_dropped_message_aborts_its_receiver(self, kind, tap):
         run = simulator._Run(config("honest", seed=27, tap_server_cs_link=tap))
-        run.victim_session(run.user_id, run.password, AdversaryPolicy(mode="drop", target_kind=kind))
+        run.policy = AdversaryPolicy(mode="drop", target_kind=kind)
+        run.victim_session(run.user_id, run.password)
         events, checks, outcomes = DROP_RUNS[kind, tap]
         assert [(e.kind, e.action) for e in run.events] == events
         assert [(c.party, c.check, c.ok) for c in run.checks] == checks
