@@ -7,10 +7,12 @@ different part lists can never produce the same hash input.
 
 import hashlib
 import struct
+from itertools import count
 
 DIGEST_LEN = 32
 HASH_NAME = "sha256"
 _pack_len = struct.Struct(">I").pack
+_pack_index = struct.Struct(">Q").pack
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -36,7 +38,10 @@ def concat(*parts: bytes) -> bytes:
     The prefixes make the encoding injective: concat(b"A", b"B") and
     concat(b"AB") are distinct, unlike raw juxtaposition.
     """
-    return b"".join([_pack_len(len(part)) + part for part in parts])
+    data = b""
+    for part in parts:
+        data += _pack_len(len(part)) + part
+    return data
 
 
 def split_concat(blob: bytes) -> list[bytes]:
@@ -60,7 +65,10 @@ def h(*parts: bytes) -> bytes:
     if len(parts) == 1:
         return hash_bytes(parts[0])
     # concat()'s body, inlined: h is the hottest call in every run.
-    return hash_bytes(b"".join([_pack_len(len(part)) + part for part in parts]))
+    data = b""
+    for part in parts:
+        data += _pack_len(len(part)) + part
+    return hash_bytes(data)
 
 
 def h_pairs(values):
@@ -76,16 +84,16 @@ def h_pairs(values):
 class BlockRng:
     """Deterministic stream of DIGEST_LEN blocks for one (seed, label) pair.
 
-    Streams with different labels are independent, and block i of a stream
-    depends only on (seed, label, i), so actors can draw in any relative
+    With key = hash_bytes(concat(decimal seed, label)), block i is
+    hash_bytes(concat(key, i as 8 big-endian octets)).  So streams with
+    different labels are independent, and actors can draw in any relative
     order without perturbing each other's values.
     """
 
     def __init__(self, seed: int, label: str = "root"):
-        self._key = hash_bytes(concat(str(seed).encode("ascii"), label.encode("utf-8")))
-        self._index = 0
+        # Everything of concat(key, i) but i's own 8 octets, framed once.
+        self._head = frame(hash_bytes(concat(str(seed).encode("ascii"), label.encode("utf-8")))) + _pack_len(8)
+        self._index = count()
 
     def next_block(self) -> bytes:
-        block = hash_bytes(concat(self._key, struct.pack(">Q", self._index)))
-        self._index += 1
-        return block
+        return hash_bytes(self._head + _pack_index(next(self._index)))

@@ -104,6 +104,8 @@ _STEPS = (
     )),
 )
 
+_STEP_ABORTS = tuple(tuple(abort for _, abort, _ in checks) for *_, checks in _STEPS)
+
 # message or message.field -> (abort, party that aborts) for a flipped byte in it
 _CAUGHT_BY = {
     owner: (abort.__name__, receiver)
@@ -154,12 +156,14 @@ class ScenarioConfig(NamedTuple):
 
     def _checked(self) -> "ScenarioConfig":
         """Lower-case the mutation target and make listed dictionary entries tuples, then validate."""
-        values = self._asdict()
-        if isinstance(self.mutation_target, str):
-            values["mutation_target"] = self.mutation_target.lower()
-        if self.dictionary is not None:
-            values["dictionary"] = tuple(tuple(e) if isinstance(e, list) else e for e in self.dictionary)
-        cfg = tuple.__new__(type(self), values.values())
+        cfg, target, entries = self, self.mutation_target, self.dictionary
+        if isinstance(target, str) and target != target.lower():
+            target = target.lower()
+        if entries is not None and (type(entries) is not tuple or set(map(type, entries)) != {tuple}):
+            entries = tuple(tuple(e) if isinstance(e, list) else e for e in entries)
+        if target is not self.mutation_target or entries is not self.dictionary:
+            values = self._asdict() | {"mutation_target": target, "dictionary": entries}
+            cfg = tuple.__new__(type(self), values.values())
         cfg.validate()
         return cfg
 
@@ -360,7 +364,10 @@ class _Codec:
         """The JSON text _JSON_OUT.encode(self.encode(obj)) gives, written field by field."""
         values = (*obj, self.tag)
         skip = self._skip
-        pairs = [key + write(values[pos]) for key, pos, write in self._plan if values[pos] is not skip]
+        pairs = []
+        for key, pos, write in self._plan:
+            if values[pos] is not skip:
+                pairs.append(key + write(values[pos]))
         return "{" + ",".join(pairs) + "}"
 
     def decode(self, record: dict):
@@ -489,8 +496,7 @@ class Transcript(NamedTuple):
         )
 
     def adversary_view(self) -> tuple[ChannelEvent, ...]:
-        """Events the channel adversary can see (open channels only)."""
-        return tuple(e for e in self.events if e.channel == "open")
+        return _adversary_view(self.events)
 
     def session_keys(self, session: int) -> dict[str, bytes]:
         return {
@@ -501,6 +507,11 @@ class Transcript(NamedTuple):
 
 
 # --- adversary channel hooks ---------------------------------------------
+
+def _adversary_view(events) -> tuple[ChannelEvent, ...]:
+    """Events the channel adversary tapped or injected; secure and untapped events have action "none"."""
+    return tuple(e for e in events if e.action != "none")
+
 
 class AdversaryPolicy(NamedTuple):
     """What the channel adversary does to in-flight messages."""
@@ -553,10 +564,9 @@ def keys_agree(keys: dict) -> bool:
 class _Run:
     """One scenario run: its seeded streams and actors, and what it records.
 
-    Building it registers the victim.  It holds the event log, checks,
-    outcomes and the adversary's knowledge.  The config fixes the channel
-    adversary's policy: a mutation run flips a byte of its target field, and
-    every other run is passive.
+    Building it registers the victim.  It holds the event log, checks and
+    outcomes.  The config fixes the channel adversary's policy: a mutation
+    run flips a byte of its target field, and every other run is passive.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -567,7 +577,6 @@ class _Run:
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
-        self.knowledge = AdversaryKnowledge()
         self.rng_cs, self.rng_user, self.rng_server, self.rng_attacker, self.rng_adv = (
             BlockRng(cfg.seed, label) for label in ("cs", "user", "server", "attacker", "adversary")
         )
@@ -584,22 +593,19 @@ class _Run:
         )
 
     def check(self, session: int, party: str, name: str, ok: bool) -> None:
-        self.checks.append(CheckRecord(session=session, party=party, check=name, ok=ok))
+        self.checks.append(CheckRecord(session, party, name, ok))
 
     def key(self, session: int, party: str, sk: bytes) -> None:
-        self.outcomes.append(PartyOutcome(session=session, party=party, session_key=sk))
+        self.outcomes.append(PartyOutcome(session, party, sk))
 
     def abort(self, session: int, party: str, reason: str) -> None:
-        self.outcomes.append(PartyOutcome(session=session, party=party, abort=reason))
+        self.outcomes.append(PartyOutcome(session, party, None, reason))
 
     def first_abort(self) -> tuple[str, str] | None:
         for outcome in self.outcomes:
             if outcome.abort is not None:
                 return outcome.party, outcome.abort
         return None
-
-    def _observe(self, kind: str, msg, payload: bytes) -> None:
-        self.knowledge.observe(payload, *_WIRE_VALUES[kind](msg))
 
     def register(self, party: str, user_id: bytes, password: bytes, rng: BlockRng) -> SmartCard:
         """Registration ceremony over the secure channel, recorded as two events."""
@@ -616,23 +622,15 @@ class _Run:
         payload = encode_message(kind, msg)
         # Every event is logged exactly once, so its step is its index in the log.
         step = len(self.events)
-        if injected:
-            self.events.append(ChannelEvent(step, session, sender, receiver, kind, "open", "injected", payload))
-            self._observe(kind, msg, payload)
-            return msg
-        event = ChannelEvent(step, session, sender, receiver, kind, "open", "none", payload)
-        backhaul = {sender, receiver} == {"server", "cs"}
-        if backhaul and not self.cfg.tap_server_cs_link:
-            self.events.append(event)
-            return msg
-        event = adversary_tap(event, self.policy, self.rng_adv)
+        action = "injected" if injected else "none"
+        event = ChannelEvent(step, session, sender, receiver, kind, "open", action, payload)
+        if not injected and (self.cfg.tap_server_cs_link or {sender, receiver} != {"server", "cs"}):
+            event = adversary_tap(event, self.policy, self.rng_adv)
         self.events.append(event)
-        self._observe(kind, msg, payload)
         if event.action == "dropped":
             return None
         if event.action == "modified":
             msg = decode_message(kind, event.payload)
-            self._observe(kind, msg, event.payload)
         return msg
 
     def exchange(
@@ -655,7 +653,7 @@ class _Run:
         keys = {}
         states = {"card": card_session}
         sender, msg = m1_sender, m1
-        for kind, receiver, act, checks in _STEPS:
+        for (kind, receiver, act, checks), aborts in zip(_STEPS, _STEP_ABORTS):
             party = user_party if receiver == "card" else receiver
             wire_receiver = "user" if party == "card" else party
             injected = kind == "M1" and sender != "user"
@@ -668,7 +666,7 @@ class _Run:
             failed = None
             try:
                 msg, states[receiver], key = act(self, states, msg)
-            except tuple(abort for _, abort, _ in checks) as exc:
+            except aborts as exc:
                 failed = type(exc)
             for name, abort, _ in checks:
                 self.check(session, party, name, abort is not failed)
@@ -711,7 +709,10 @@ def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     captured = decode_message("M1", next(e.payload for e in run.events if e.kind == "M1"))
     keys = run.exchange(2, captured, None, m1_sender="adversary")
     accepted = "cs" in keys and "server" in keys
-    knows_sk = "cs" in keys and run.knowledge.knows(keys["cs"])
+    knowledge = AdversaryKnowledge()
+    for e in _adversary_view(run.events):
+        knowledge.observe(e.payload, *_wire_parts(e.kind, e.payload))
+    knows_sk = "cs" in keys and knowledge.knows(keys["cs"])
     report = AttackReport(
         name="replay", success=accepted, work=1,
         recovered={"adversary_knows_session_key": _yes(knows_sk)},

@@ -34,6 +34,13 @@ def ref_h(*parts: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def ref_rng(seed: int, label: str, n: int) -> list[bytes]:
+    """The first n blocks of the seeded stream: block i is SHA-256 of concat(key, i as
+    8 big-endian octets), where key is SHA-256 of concat(decimal seed, label)."""
+    key = hashlib.sha256(ref_concat(str(seed).encode("ascii"), label.encode("utf-8"))).digest()
+    return [hashlib.sha256(ref_concat(key, struct.pack(">Q", i))).digest() for i in range(n)]
+
+
 def ref_xor(a: bytes, b: bytes) -> bytes:
     assert len(a) == len(b)
     return bytes(x ^ y for x, y in zip(a, b))

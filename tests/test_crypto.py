@@ -3,15 +3,21 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triauth import DIGEST_LEN, BlockRng, concat, h, hash_bytes, split_concat, xor
 from triauth.crypto import frame, h_pairs
 
-from oracle import SHA256_ABC, SHA256_EMPTY, ref_h, ref_parse
+from oracle import SHA256_ABC, SHA256_EMPTY, ref_concat, ref_h, ref_parse, ref_rng
 
 digests = st.binary(min_size=DIGEST_LEN, max_size=DIGEST_LEN)
+# Parts of the lengths the protocol frames: empty, short, digests, and past one SHA-256 block.
+framed_parts = st.lists(
+    st.one_of(st.just(b""), st.binary(min_size=1, max_size=1), st.binary(min_size=8, max_size=8),
+              digests, st.binary(min_size=65, max_size=80)),
+    max_size=4,
+)
 
 
 class TestHash:
@@ -42,6 +48,12 @@ class TestHash:
 
     def test_h_multi_part_hashes_the_encoding(self):
         assert h(b"a", b"b") == hash_bytes(concat(b"a", b"b"))
+
+    @settings(max_examples=60)
+    @given(framed_parts)
+    def test_h_and_concat_match_the_reference(self, parts):
+        assert h(*parts) == ref_h(*parts)
+        assert concat(*parts) == ref_concat(*parts)
 
 
 class TestMidstateHashes:
@@ -125,6 +137,12 @@ class TestBlockRng:
 
     def test_block_length(self):
         assert len(BlockRng(0).next_block()) == DIGEST_LEN
+
+    @pytest.mark.parametrize("label", ["cs", "adversary", "é"])
+    @pytest.mark.parametrize("seed", [0, 1, -7, 2**70])
+    def test_blocks_match_the_reference(self, seed, label):
+        rng = BlockRng(seed, label)
+        assert [rng.next_block() for _ in range(20)] == ref_rng(seed, label, 20)
 
     def test_no_repeats_in_ten_thousand_draws(self):
         rng = BlockRng(1234, "birthday")

@@ -67,6 +67,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="not on a tapped link"):
             cfg._replace(mutation_target="m2.m_i")
 
+    def test_only_a_listed_entry_is_rebuilt(self):
+        guess = config("guess")
+        assert guess._replace(seed=2).dictionary is guess.dictionary
+        mixed = ScenarioConfig(kind="guess", seed=1, dictionary=(("bob", "x1"), ["alice", "pw123"]))
+        assert mixed.dictionary == (("bob", "x1"), ("alice", "pw123"))
+
     @pytest.mark.parametrize("name", ["kind", "seed", "dictionary"])
     def test_setting_a_field_raises(self, name):
         with pytest.raises(AttributeError):
@@ -598,3 +604,15 @@ class TestLinkRestriction:
         assert actions["M4"] == "observed"
         assert actions["M2"] == "none"
         assert actions["M3"] == "none"
+
+    @pytest.mark.parametrize("kind, user_link_view", [
+        ("honest", [(1, "M1", "observed"), (1, "M4", "observed")]),
+        ("replay", [(1, "M1", "observed"), (1, "M4", "observed"), (2, "M1", "injected"), (2, "M4", "observed")]),
+    ])
+    def test_adversary_view_holds_what_it_tapped_or_injected(self, kind, user_link_view):
+        full = run_scenario(config(kind, seed=3))
+        assert full.adversary_view() == tuple(e for e in full.events if e.channel == "open")
+        restricted = run_scenario(config(kind, seed=3, tap_server_cs_link=False))
+        view = restricted.adversary_view()
+        assert [(e.session, e.kind, e.action) for e in view] == user_link_view
+        assert all("user" in (e.sender, e.receiver) or e.action == "injected" for e in view)
