@@ -162,6 +162,8 @@ class CsSession(NamedTuple):
     n_i1: bytes
     n_i2: bytes
     n_i3: bytes
+    h_ab: bytes
+    nonce_xor: bytes
     session_key: bytes
 
 
@@ -267,7 +269,7 @@ def cs_authenticate(cs: ControlServer, m2: M2, rng: BlockRng) -> tuple[M3, CsSes
         t_i=xor(xor(n_i2, n_i3), h(a_i, b_i, n_i1)),
     )
     session = CsSession(
-        a_i=a_i, b_i=b_i, n_i1=n_i1, n_i2=n_i2, n_i3=n_i3,
+        a_i=a_i, b_i=b_i, n_i1=n_i1, n_i2=n_i2, n_i3=n_i3, h_ab=h_ab, nonce_xor=nonce_xor,
         session_key=h(h_ab, nonce_xor),
     )
     return m3, session

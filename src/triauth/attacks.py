@@ -9,7 +9,7 @@ includes the control server's master secrets.
 from typing import NamedTuple
 
 from .actors import SmartCard
-from .crypto import DIGEST_LEN, _pack_len, frame, h, h_pairs, hash_bytes, xor
+from .crypto import DIGEST_LEN, _pack_len, frame, hash_bytes, split_concat, xor
 
 
 def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ...]:
@@ -76,27 +76,34 @@ def guess_credentials(extracted: SmartCard, candidates) -> GuessResult:
 class AdversaryKnowledge:
     """Values the channel adversary has seen, plus a one-step derivation closure.
 
-    knows() checks membership in the observed set extended by one round of
-    the operations available to the adversary: XOR of two observed
-    equal-length values, and the protocol hash of one observed value or of
-    an observed pair.
+    knows(target, preimage) checks membership in the observed set extended by
+    one round of the adversary's operations: XOR of two observed equal-length
+    values, and the protocol hash of one observed value or pair, tried only
+    given preimage, the bytes that hash to target (ValueError if they do not).
     """
 
     def __init__(self):
         self._seen: set[bytes] = set()
 
     def observe(self, *values: bytes) -> None:
-        for value in values:
-            self._seen.add(bytes(value))
+        self._seen.update(map(bytes, values))
 
-    def knows(self, target: bytes) -> bool:
-        if target in self._seen:
+    def knows(self, target: bytes, preimage: bytes | None = None) -> bool:
+        if preimage is not None and hash_bytes(preimage) != target:
+            raise ValueError("preimage does not hash to target")
+        seen = self._seen
+        # Barring a SHA-256 collision, h(a) == target only for a == preimage, and h(a, b) == target
+        # only for concat(a, b) == preimage, which concat's injectivity splits one way.
+        if target in seen or preimage in seen:
             return True
-        # xor(a, b) == target exactly when xor(a, target) == b; a is never XORed with itself.
-        for a in self._seen:
-            if h(a) == target or (len(a) == len(target) and (b := xor(a, target)) != a and b in self._seen):
-                return True
-        return target in h_pairs(self._seen)
+        # Two distinct values XOR to target exactly when target is not all zero and xor(a, target) == b.
+        if any(target) and any(len(a) == len(target) and xor(a, target) in seen for a in seen):
+            return True
+        try:
+            a, b = split_concat(preimage or b"")  # no preimage: no parts
+        except ValueError:  # malformed, or not two parts
+            return False
+        return a in seen and b in seen
 
 
 class AttackReport(NamedTuple):

@@ -71,16 +71,6 @@ def h(*parts: bytes) -> bytes:
     return hash_bytes(data)
 
 
-def h_pairs(values):
-    """Yield h(a, b) for every ordered pair of values, a-major, hashing each a once."""
-    framed = list(map(frame, values))
-    for head in map(hashlib.sha256, framed):
-        for tail in framed:
-            pair = head.copy()
-            pair.update(tail)
-            yield pair.digest()
-
-
 class BlockRng:
     """Deterministic stream of DIGEST_LEN blocks for one (seed, label) pair.
 

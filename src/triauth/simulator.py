@@ -571,15 +571,14 @@ class _Run:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.policy = AdversaryPolicy()
+        self.policy, self.rng_adv = AdversaryPolicy(), None
         if cfg.kind == "mutation":
             self.policy = AdversaryPolicy("modify", *MUTATION_TARGETS[cfg.mutation_target][:2])
+            self.rng_adv = BlockRng(cfg.seed, "adversary")
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
-        self.rng_cs, self.rng_user, self.rng_server, self.rng_attacker, self.rng_adv = (
-            BlockRng(cfg.seed, label) for label in ("cs", "user", "server", "attacker", "adversary")
-        )
+        self.rng_cs, self.rng_user, self.rng_server = (BlockRng(cfg.seed, label) for label in ("cs", "user", "server"))
         self.user_id = cfg.user_id.encode("utf-8")
         self.password = cfg.password.encode("utf-8")
         self.sid = cfg.sid.encode("utf-8")
@@ -651,7 +650,7 @@ class _Run:
         card session, M4 is sent and nobody checks it.
         """
         keys = {}
-        states = {"card": card_session}
+        states = self.states = {"card": card_session}
         sender, msg = m1_sender, m1
         for (kind, receiver, act, checks), aborts in zip(_STEPS, _STEP_ABORTS):
             party = user_party if receiver == "card" else receiver
@@ -712,7 +711,8 @@ def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     knowledge = AdversaryKnowledge()
     for e in _adversary_view(run.events):
         knowledge.observe(e.payload, *_wire_parts(e.kind, e.payload))
-    knows_sk = "cs" in keys and knowledge.knows(keys["cs"])
+    cs = run.states.get("cs")
+    knows_sk = "cs" in keys and knowledge.knows(keys["cs"], concat(cs.h_ab, cs.nonce_xor))
     report = AttackReport(
         name="replay", success=accepted, work=1,
         recovered={"adversary_knows_session_key": _yes(knows_sk)},
@@ -729,8 +729,9 @@ def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     # server cannot tell apart from any other user's login.
     attacker_id = run.cfg.attacker_id.encode("utf-8")
     attacker_password = run.cfg.attacker_password.encode("utf-8")
-    card = run.register("attacker", attacker_id, attacker_password, run.rng_attacker)
-    m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, run.rng_attacker)
+    rng = BlockRng(run.cfg.seed, "attacker")
+    card = run.register("attacker", attacker_id, attacker_password, rng)
+    m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, rng)
     keys = run.exchange(1, m1, card_session, user_party="attacker", m1_sender="attacker")
     agree = keys_agree(keys)
     report = AttackReport(

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from triauth import (
-    AdversaryKnowledge,
     BlockRng,
     ControlServer,
     CSAuthFailed,
@@ -32,7 +31,7 @@ from triauth import (
 from triauth.cli import main
 
 from helpers import honest_run
-from oracle import ref_h
+from oracle import ref_h, ref_knows
 
 
 def report(ok: bool, line: str) -> None:
@@ -216,22 +215,21 @@ def test_masquerade_acceptance_100_seeds():
     )
 
 
-def _knowledge_from_transcript(transcript) -> AdversaryKnowledge:
-    knowledge = AdversaryKnowledge()
+def _observed_in_transcript(transcript) -> list[bytes]:
+    """The payload and every wire field of each event the adversary tapped or injected."""
+    observed = []
     for event in transcript.adversary_view():
         msg = decode_message(event.kind, event.payload)
-        knowledge.observe(event.payload)
+        observed.append(event.payload)
         if event.kind == "M1":
-            knowledge.observe(msg.f_i, msg.g_i, msg.p_ij, msg.cid_i)
+            observed += [msg.f_i, msg.g_i, msg.p_ij, msg.cid_i]
         elif event.kind == "M2":
-            knowledge.observe(
-                msg.m1.f_i, msg.m1.g_i, msg.m1.p_ij, msg.m1.cid_i, msg.sid, msg.k_i, msg.m_i
-            )
+            observed += [msg.m1.f_i, msg.m1.g_i, msg.m1.p_ij, msg.m1.cid_i, msg.sid, msg.k_i, msg.m_i]
         elif event.kind == "M3":
-            knowledge.observe(msg.q_i, msg.r_i, msg.v_i, msg.t_i)
+            observed += [msg.q_i, msg.r_i, msg.v_i, msg.t_i]
         else:
-            knowledge.observe(msg.v_i, msg.t_i)
-    return knowledge
+            observed += [msg.v_i, msg.t_i]
+    return observed
 
 
 def test_replay_acceptance_100_seeds():
@@ -246,16 +244,30 @@ def test_replay_acceptance_100_seeds():
             and transcript.report.recovered["adversary_knows_session_key"] == "no"
         )
         if ok and seed < 10:
-            # independent knowledge-set rebuild from the transcript itself
-            knowledge = _knowledge_from_transcript(transcript)
+            # independent knowledge-set rebuild from the transcript itself, closed by brute force
             new_sk = transcript.session_keys(2)["cs"]
-            ok = not knowledge.knows(new_sk)
+            ok = not ref_knows(_observed_in_transcript(transcript), new_sk)
         if not ok:
             failures += 1
     report(
         failures == 0,
         "replay: byte-exact M1 re-accepted by server and CS in 100/100 seeds, "
         "session key outside adversary knowledge",
+    )
+
+
+def test_replay_report_matches_brute_force_closure_50_seeds():
+    mismatches = []
+    for seed in range(50):
+        for tap in (True, False):
+            transcript = run_scenario(ScenarioConfig(kind="replay", seed=seed, tap_server_cs_link=tap))
+            expected = ref_knows(_observed_in_transcript(transcript), transcript.session_keys(2)["cs"])
+            if transcript.report.recovered["adversary_knows_session_key"] != ("yes" if expected else "no"):
+                mismatches.append((seed, tap))
+    report(
+        not mismatches,
+        "replay: adversary_knows_session_key equals the brute-force one-step closure "
+        f"over the tapped values in 100/100 runs (seeds 0-49, both taps); mismatches: {mismatches}",
     )
 
 

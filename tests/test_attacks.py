@@ -1,6 +1,7 @@
 """Attack tests: card extraction, offline guessing, masquerade, replay."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +26,11 @@ from triauth import (
     server_verify,
 )
 
+from triauth import crypto
 from triauth.attacks import GuessResult
 
 from helpers import flip, honest_run
-from oracle import ref_guess, ref_h, ref_knows, ref_xor
+from oracle import ref_concat, ref_guess, ref_h, ref_knows, ref_xor
 
 
 def encoded(pairs):
@@ -263,17 +265,57 @@ class TestAdversaryKnowledge:
         k = AdversaryKnowledge()
         k.observe(a, b)
         assert k.knows(bytes(x ^ y for x, y in zip(a, b)))
-        assert k.knows(ref_h(a))
-        assert k.knows(ref_h(a, b))
+        assert k.knows(ref_h(a), a)
+        assert k.knows(ref_h(a, b), ref_concat(a, b))
+        assert k.knows(ref_h(b, a), ref_concat(b, a))
+        c = ref_h(b"c")
+        assert not k.knows(ref_h(a, c), ref_concat(a, c))
+        assert not k.knows(ref_h(c, a), ref_concat(c, a))
+        # Without its preimage a hash output is matched only by membership or XOR.
+        assert not k.knows(ref_h(a))
+        assert not k.knows(ref_h(a, b))
+
+    @pytest.mark.parametrize("preimage", [b"b", ref_concat(b"a"), b""])
+    def test_a_wrong_preimage_raises(self, preimage):
+        k = AdversaryKnowledge()
+        k.observe(b"a")
+        with pytest.raises(ValueError, match="^preimage does not hash to target$"):
+            k.knows(ref_h(b"a"), preimage)
 
     def test_replay_adversary_cannot_derive_session_key(self):
         run = honest_run(seed=7)
+        result = run.server_result
+        assert (run.cs_session.h_ab, run.cs_session.nonce_xor) == (result.h_ab, result.nonce_xor)
+        preimage = ref_concat(result.h_ab, result.nonce_xor)
         k = AdversaryKnowledge()
         k.observe(run.m1.f_i, run.m1.g_i, run.m1.p_ij, run.m1.cid_i)
         k.observe(run.m2.sid, run.m2.k_i, run.m2.m_i)
         k.observe(run.m3.q_i, run.m3.r_i, run.m3.v_i, run.m3.t_i)
         k.observe(run.m4.v_i, run.m4.t_i)
-        assert not k.knows(run.card_sk)
+        assert not k.knows(run.card_sk, preimage)
+        k.observe(result.h_ab, result.nonce_xor)
+        assert k.knows(run.card_sk, preimage)
+
+    def test_a_query_makes_at_most_one_hash_call(self):
+        run = honest_run(seed=8)
+        k = AdversaryKnowledge()
+        k.observe(*run.m1, *run.m2.m1, run.m2.sid, run.m2.k_i, run.m2.m_i, *run.m3, *run.m4)
+        preimage = ref_concat(run.server_result.h_ab, run.server_result.nonce_xor)
+        hashes = {crypto.h.__code__, crypto.hash_bytes.__code__}
+        calls = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in hashes:
+                calls.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            answers = (k.knows(run.card_sk, preimage), k.knows(run.card_sk))
+        finally:
+            sys.setprofile(previous)
+        assert answers == (False, False)
+        assert calls == ["hash_bytes"]
 
 
 # Observed values of the lengths that matter to the closure: empty, one byte,
@@ -288,16 +330,29 @@ observed_values = st.one_of(
 
 @st.composite
 def closure_queries(draw):
-    """An observed set and a target: a planted hit of each kind, or a near miss."""
+    """An observed set, a target and the target's preimage if it is a hash:
+    a planted hit of each kind, or a near miss."""
     seen = draw(st.lists(observed_values, min_size=1, max_size=10))
     a = draw(st.sampled_from(seen))
     b = draw(st.sampled_from(seen))
     kind = draw(st.sampled_from([
-        "member", "xor", "h", "h_ab", "h_ba", "h_aa", "zero", "xor_aa", "length_mismatch", "h_aba",
+        "member", "xor", "h", "h_ab", "h_ba", "h_aa", "zero", "xor_aa", "length_mismatch", "h_aba", "h_fresh",
+        "h_a_fresh",
     ]))
     if kind == "xor":
         b = draw(st.binary(min_size=len(a), max_size=len(a)))
         seen.append(b)
+    # 33 bytes is neither an observed length nor the concat() of two observed values.
+    fresh = draw(st.binary(min_size=33, max_size=33))
+    preimage = {
+        "h": a,
+        "h_ab": ref_concat(a, b),
+        "h_ba": ref_concat(b, a),
+        "h_aa": ref_concat(a, a),
+        "h_aba": ref_concat(a, b, a),
+        "h_fresh": fresh,
+        "h_a_fresh": ref_concat(a, fresh),
+    }.get(kind)
     target = {
         "member": lambda: a,
         "xor": lambda: ref_xor(a, b),
@@ -309,18 +364,22 @@ def closure_queries(draw):
         "xor_aa": lambda: ref_xor(a, a),
         "length_mismatch": lambda: ref_xor(a, b)[:-1] if len(a) == len(b) and a else a + b"\x00",
         "h_aba": lambda: ref_h(a, b, a),
+        "h_fresh": lambda: ref_h(fresh),
+        "h_a_fresh": lambda: ref_h(a, fresh),
     }[kind]()
-    return kind, seen, target
+    return kind, seen, target, preimage
 
 
 class TestKnowsMatchesReference:
     @settings(max_examples=300)
     @given(closure_queries())
     def test_knows_equals_brute_force_closure(self, query):
-        kind, seen, target = query
+        kind, seen, target, preimage = query
         k = AdversaryKnowledge()
         k.observe(*seen)
         expected = ref_knows(seen, target)
-        assert k.knows(target) == expected
+        assert k.knows(target, preimage) == expected
         if kind in ("member", "h", "h_ab", "h_ba", "h_aa"):
             assert expected
+        if kind == "h_fresh":
+            assert not expected

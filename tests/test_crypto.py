@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triauth import DIGEST_LEN, BlockRng, concat, h, hash_bytes, split_concat, xor
-from triauth.crypto import frame, h_pairs
+from triauth.crypto import frame
 
 from oracle import SHA256_ABC, SHA256_EMPTY, ref_concat, ref_h, ref_parse, ref_rng
 
@@ -54,12 +54,6 @@ class TestHash:
     def test_h_and_concat_match_the_reference(self, parts):
         assert h(*parts) == ref_h(*parts)
         assert concat(*parts) == ref_concat(*parts)
-
-
-class TestMidstateHashes:
-    @given(st.lists(st.one_of(st.binary(max_size=8), digests, st.binary(min_size=65, max_size=80)), max_size=5))
-    def test_h_pairs_is_every_ordered_pair_a_major(self, vs):
-        assert list(h_pairs(vs)) == [ref_h(a, b) for a in vs for b in vs]
 
 
 class TestXor:
