@@ -571,14 +571,15 @@ class _Run:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.policy, self.rng_adv = AdversaryPolicy(), None
+        self.policy = AdversaryPolicy()
         if cfg.kind == "mutation":
             self.policy = AdversaryPolicy("modify", *MUTATION_TARGETS[cfg.mutation_target][:2])
-            self.rng_adv = BlockRng(cfg.seed, "adversary")
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
-        self.rng_cs, self.rng_user, self.rng_server = (BlockRng(cfg.seed, label) for label in ("cs", "user", "server"))
+        self.rng_cs, self.rng_user, self.rng_server, self.rng_attacker, self.rng_adv = (
+            BlockRng(cfg.seed, label) for label in ("cs", "user", "server", "attacker", "adversary")
+        )
         self.user_id = cfg.user_id.encode("utf-8")
         self.password = cfg.password.encode("utf-8")
         self.sid = cfg.sid.encode("utf-8")
@@ -711,8 +712,8 @@ def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     knowledge = AdversaryKnowledge()
     for e in _adversary_view(run.events):
         knowledge.observe(e.payload, *_wire_parts(e.kind, e.payload))
-    cs = run.states.get("cs")
-    knows_sk = "cs" in keys and knowledge.knows(keys["cs"], concat(cs.h_ab, cs.nonce_xor))
+    # CS's session-2 key is h(h_ab || nonce_xor); knows() reads that preimage.
+    knows_sk = "cs" in keys and knowledge.knows(keys["cs"], concat(run.states["cs"].h_ab, run.states["cs"].nonce_xor))
     report = AttackReport(
         name="replay", success=accepted, work=1,
         recovered={"adversary_knows_session_key": _yes(knows_sk)},
@@ -729,9 +730,8 @@ def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     # server cannot tell apart from any other user's login.
     attacker_id = run.cfg.attacker_id.encode("utf-8")
     attacker_password = run.cfg.attacker_password.encode("utf-8")
-    rng = BlockRng(run.cfg.seed, "attacker")
-    card = run.register("attacker", attacker_id, attacker_password, rng)
-    m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, rng)
+    card = run.register("attacker", attacker_id, attacker_password, run.rng_attacker)
+    m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, run.rng_attacker)
     keys = run.exchange(1, m1, card_session, user_party="attacker", m1_sender="attacker")
     agree = keys_agree(keys)
     report = AttackReport(

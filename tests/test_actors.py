@@ -271,9 +271,7 @@ def hash_calls_in_run(cfg):
 
 def test_honest_run_hash_cost_per_actor():
     counts = hash_calls_in_run(ScenarioConfig(kind="honest", seed=1))
-    # Each h call is one hash_bytes call. The other nine key the three streams
-    # an honest run draws from, then draw its six blocks.
-    assert counts.pop("total") == (41, 50)
+    assert counts.pop("total") == (41, 52)
     assert counts == HONEST_HASH_COST
 
 
