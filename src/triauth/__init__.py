@@ -51,7 +51,6 @@ from .simulator import (
     ARTIFACT_VERSION,
     KINDS,
     MUTATION_TARGETS,
-    AdversaryPolicy,
     ChannelEvent,
     ConfigError,
     ScenarioConfig,

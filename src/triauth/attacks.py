@@ -1,9 +1,9 @@
 """Adversary model and the three attacks the protocol is vulnerable to.
 
-The channel adversary sees every login-phase message and may drop, modify,
-or inject its own.  A card thief additionally learns everything stored on a
-stolen card, but not the password typed by its owner.  Neither capability
-includes the control server's master secrets.
+The channel adversary sees every login-phase message and may modify one in
+transit or inject its own.  A card thief additionally learns everything
+stored on a stolen card, but not the password typed by its owner.  Neither
+capability includes the control server's master secrets.
 """
 
 from typing import NamedTuple

@@ -261,7 +261,7 @@ class ChannelEvent(NamedTuple):
     receiver: str
     kind: str
     channel: str  # "secure" | "open"
-    action: str   # "none" | "observed" | "dropped" | "injected" | "modified"
+    action: str   # "none" | "observed" | "injected" | "modified"
     payload: bytes
 
 
@@ -513,14 +513,6 @@ def _adversary_view(events) -> tuple[ChannelEvent, ...]:
     return tuple(e for e in events if e.action != "none")
 
 
-class AdversaryPolicy(NamedTuple):
-    """What the channel adversary does to in-flight messages."""
-
-    mode: str = "passive"  # passive | drop | modify
-    target_kind: str | None = None
-    target_field: str | None = None
-
-
 def flip_byte(data: bytes, rng: BlockRng) -> bytes:
     """XOR one random byte of data with a random non-zero mask."""
     if not data:
@@ -531,26 +523,17 @@ def flip_byte(data: bytes, rng: BlockRng) -> bytes:
     return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
 
 
-def adversary_tap(event: ChannelEvent, policy: AdversaryPolicy, rng: BlockRng | None = None) -> ChannelEvent:
-    """Apply the adversary's policy to one in-flight event.
-
-    Returns the event marked with the action taken; an action of "dropped"
-    means the message must not be delivered.
-    """
+def adversary_tap(event: ChannelEvent, field: str | None = None, rng: BlockRng | None = None) -> ChannelEvent:
+    """The in-flight event as the adversary passes it on: observed, or with
+    one byte of its wire field `field` flipped by rng and marked modified."""
     if event.channel != "open":
         raise ValueError("adversary cannot tap a secure channel")
     action, payload = "observed", event.payload
-    if policy.mode == "drop" and event.kind == policy.target_kind:
-        action = "dropped"
-    elif policy.mode == "modify" and event.kind == policy.target_kind:
-        if rng is None:
-            raise ValueError("modify policy needs an rng")
+    if field is not None:
         parts = _wire_parts(event.kind, payload)
-        pos = WIRE_FIELDS[event.kind].index(policy.target_field)
+        pos = WIRE_FIELDS[event.kind].index(field)
         parts[pos] = flip_byte(parts[pos], rng)
         action, payload = "modified", concat(*parts)
-    elif policy.mode not in ("passive", "drop", "modify"):
-        raise ValueError(f"unknown adversary mode: {policy.mode!r}")
     return ChannelEvent(event.step, event.session, event.sender, event.receiver, event.kind, "open", action, payload)
 
 
@@ -565,15 +548,16 @@ class _Run:
     """One scenario run: its seeded streams and actors, and what it records.
 
     Building it registers the victim.  It holds the event log, checks and
-    outcomes.  The config fixes the channel adversary's policy: a mutation
-    run flips a byte of its target field, and every other run is passive.
+    outcomes.  The config fixes what the channel adversary does: a mutation
+    run flips a byte of its target (message kind, field), and every other
+    run only observes.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.policy = AdversaryPolicy()
+        self.target_kind = self.target_field = None
         if cfg.kind == "mutation":
-            self.policy = AdversaryPolicy("modify", *MUTATION_TARGETS[cfg.mutation_target][:2])
+            self.target_kind, self.target_field = MUTATION_TARGETS[cfg.mutation_target][:2]
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
@@ -618,17 +602,16 @@ class _Run:
         return card
 
     def send(self, session: int, sender: str, receiver: str, kind: str, msg, injected: bool = False):
-        """Put a message on an open channel; returns the delivered message or None."""
+        """Put a message on an open channel; returns the message as delivered."""
         payload = encode_message(kind, msg)
         # Every event is logged exactly once, so its step is its index in the log.
         step = len(self.events)
         action = "injected" if injected else "none"
         event = ChannelEvent(step, session, sender, receiver, kind, "open", action, payload)
         if not injected and (self.cfg.tap_server_cs_link or {sender, receiver} != {"server", "cs"}):
-            event = adversary_tap(event, self.policy, self.rng_adv)
+            field = self.target_field if kind == self.target_kind else None
+            event = adversary_tap(event, field, self.rng_adv)
         self.events.append(event)
-        if event.action == "dropped":
-            return None
         if event.action == "modified":
             msg = decode_message(kind, event.payload)
         return msg
@@ -640,28 +623,28 @@ class _Run:
         card_session: CardSession | None,
         *,
         user_party: str = "card",
-        m1_sender: str = "user",
     ) -> dict[str, bytes]:
         """Drive one M1..M4 exchange through _STEPS, recording checks and outcomes as they happen.
 
         Returns the session key of each receiver in _STEPS that reached one.
 
         user_party holds the card and is "user" on the wire when it is the
-        victim's card.  An M1 that the user did not send is injected.  With no
+        victim's card.  It sends M1, or the adversary does when there is no
+        card session; an M1 that the user did not send is injected.  With no
         card session, M4 is sent and nobody checks it.
         """
         keys = {}
         states = self.states = {"card": card_session}
-        sender, msg = m1_sender, m1
+        sender = "user" if user_party == "card" else user_party
+        if card_session is None:
+            sender = "adversary"
+        msg = m1
         for (kind, receiver, act, checks), aborts in zip(_STEPS, _STEP_ABORTS):
             party = user_party if receiver == "card" else receiver
             wire_receiver = "user" if party == "card" else party
             injected = kind == "M1" and sender != "user"
             msg = self.send(session, sender, wire_receiver, kind, msg, injected=injected)
             if receiver == "card" and card_session is None:
-                return keys
-            if msg is None:
-                self.abort(session, party, f"undelivered:{kind}")
                 return keys
             failed = None
             try:
@@ -707,7 +690,7 @@ def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     run.victim_session(run.user_id, run.password)
     # Nothing in M1 binds it to a session, so the byte-exact copy passes again.
     captured = decode_message("M1", next(e.payload for e in run.events if e.kind == "M1"))
-    keys = run.exchange(2, captured, None, m1_sender="adversary")
+    keys = run.exchange(2, captured, None)
     accepted = "cs" in keys and "server" in keys
     knowledge = AdversaryKnowledge()
     for e in _adversary_view(run.events):
@@ -732,7 +715,7 @@ def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     attacker_password = run.cfg.attacker_password.encode("utf-8")
     card = run.register("attacker", attacker_id, attacker_password, run.rng_attacker)
     m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, run.rng_attacker)
-    keys = run.exchange(1, m1, card_session, user_party="attacker", m1_sender="attacker")
+    keys = run.exchange(1, m1, card_session, user_party="attacker")
     agree = keys_agree(keys)
     report = AttackReport(
         name="masquerade", success=agree, work=1, recovered={"shared_session_key": _yes(agree)},

@@ -46,6 +46,35 @@ def ref_xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
+def ref_session(seed: int, user_id: bytes, password: bytes, sid: bytes) -> tuple[dict, bytes]:
+    """An honest run derived from the README's protocol equations: the wire fields
+    of each message by kind, in the order the messages are sent, and SK."""
+    x, y, n3 = ref_rng(seed, "cs", 3)
+    b, n1 = ref_rng(seed, "user", 2)
+    (n2,) = ref_rng(seed, "server", 1)
+    h_y = ref_h(y)
+    a = ref_h(b, password)
+    user_key = ref_h(user_id, x)  # B
+    c = ref_h(user_id, h_y, a)
+    d = ref_xor(user_key, ref_h(user_id, a))
+    e = ref_xor(user_key, ref_h(y, x))
+    f_i = ref_xor(h_y, n1)
+    m1 = (f_i, ref_h(user_key, a, n1), ref_xor(e, ref_h(h_y, n1, sid)), ref_xor(a, ref_h(user_key, f_i, n1)))
+    nonces = ref_xor(ref_xor(n1, n2), n3)
+    h_ab = ref_h(a, user_key)
+    v_i = ref_h(h_ab, ref_h(nonces))
+    t_i = ref_xor(ref_xor(n2, n3), ref_h(a, user_key, n1))
+    fields = {
+        "RegistrationRequest": (user_id, a),
+        "CardIssue": (c, d, e, h_y),
+        "M1": m1,
+        "M2": (*m1, sid, ref_xor(ref_h(sid, y), n2), ref_h(ref_h(x, y), n2)),
+        "M3": (ref_xor(ref_xor(n1, n3), ref_h(sid, n2)), ref_xor(h_ab, ref_h(nonces)), v_i, t_i),
+        "M4": (v_i, t_i),
+    }
+    return fields, ref_h(h_ab, nonces)
+
+
 def ref_knows(seen, target: bytes) -> bool:
     """One-step closure by brute force: a member, the XOR of two distinct
     equal-length members, or the hash of one member or of an ordered pair."""

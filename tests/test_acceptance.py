@@ -31,7 +31,7 @@ from triauth import (
 from triauth.cli import main
 
 from helpers import honest_run
-from oracle import ref_h, ref_knows
+from oracle import ref_concat, ref_h, ref_knows, ref_session
 
 
 def report(ok: bool, line: str) -> None:
@@ -81,6 +81,27 @@ def test_verification_math_oracle():
     report(
         bad == 0,
         "verification-math oracle: recovered values byte-equal ground truth in 200/200 honest runs",
+    )
+
+
+@pytest.mark.parametrize("tap", [True, False], ids=["full-tap", "user-link-only"])
+def test_honest_run_matches_the_protocol_equations_100_seeds(tap):
+    # ref_session derives every value from the README's equations, never from the actors.
+    bad = 0
+    for seed in range(100):
+        user_id, password, sid = random_credentials(seed)
+        transcript = run_scenario(ScenarioConfig(
+            kind="honest", seed=seed, user_id=user_id, password=password, sid=sid, tap_server_cs_link=tap,
+        ))
+        fields, sk = ref_session(seed, user_id.encode(), password.encode(), sid.encode())
+        payloads = [(kind, ref_concat(*parts)) for kind, parts in fields.items()]
+        events = [(e.kind, e.payload) for e in transcript.events]
+        keys = {o.party: o.session_key for o in transcript.outcomes}
+        if events != payloads or keys != dict.fromkeys(("card", "server", "cs"), sk):
+            bad += 1
+    report(
+        bad == 0,
+        f"protocol equations: payloads and keys match the reference in {100 - bad}/100 honest runs ({tap=})",
     )
 
 

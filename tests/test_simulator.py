@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from triauth import (
     KINDS,
     MUTATION_TARGETS,
-    AdversaryPolicy,
     BlockRng,
     ChannelEvent,
     ConfigError,
@@ -173,7 +172,7 @@ class TestHonestScenario:
         t = run_scenario(config("honest", seed=6))
         # every recorded event carries exactly one terminal action
         for event in t.events:
-            assert event.action in ("none", "observed", "dropped", "injected", "modified")
+            assert event.action in ("none", "observed", "injected", "modified")
         assert len([e for e in t.events if e.session == 1]) == 4
 
     def test_conservation_across_replay_sessions(self):
@@ -378,99 +377,22 @@ class TestAdversaryTap:
     def test_passive_marks_observed(self):
         run = honest_run(seed=23)
         event = self._event(run)
-        tapped = adversary_tap(event, AdversaryPolicy())
+        tapped = adversary_tap(event)
         assert tapped.action == "observed"
         assert tapped.payload == event.payload
 
     def test_secure_channel_cannot_be_tapped(self):
         run = honest_run(seed=24)
         with pytest.raises(ValueError):
-            adversary_tap(self._event(run, channel="secure"), AdversaryPolicy())
-
-    def test_drop_policy_marks_dropped(self):
-        run = honest_run(seed=25)
-        policy = AdversaryPolicy(mode="drop", target_kind="M1")
-        assert adversary_tap(self._event(run), policy).action == "dropped"
+            adversary_tap(self._event(run, channel="secure"))
 
     def test_modify_policy_changes_exactly_the_target_field(self):
         run = honest_run(seed=26)
-        policy = AdversaryPolicy(mode="modify", target_kind="M1", target_field="g_i")
-        tapped = adversary_tap(self._event(run), policy, BlockRng(26, "adv"))
+        tapped = adversary_tap(self._event(run), "g_i", BlockRng(26, "adv"))
         mutated = decode_message("M1", tapped.payload)
         assert tapped.action == "modified"
         assert mutated.g_i != run.m1.g_i
         assert (mutated.f_i, mutated.p_ij, mutated.cid_i) == (run.m1.f_i, run.m1.p_ij, run.m1.cid_i)
-
-    def test_dropped_m4_aborts_the_card_session(self):
-        # dropping is not a CLI scenario kind; drive the flow machinery directly
-        from triauth.simulator import _Run
-
-        run = _Run(config("honest", seed=27))
-        run.policy = AdversaryPolicy(mode="drop", target_kind="M4")
-        keys = run.victim_session(run.user_id, run.password)
-        assert "card" not in keys
-        m4_events = [e for e in run.events if e.kind == "M4"]
-        assert [e.action for e in m4_events] == ["dropped"]
-        card_outcome = [o for o in run.outcomes if o.party == "card"]
-        assert card_outcome and card_outcome[0].abort == "undelivered:M4"
-
-
-REGISTRATION = [("RegistrationRequest", "none"), ("CardIssue", "none")]
-LOCAL_CHECK = [("card", "card_local_check", True)]
-CS_CHECKS = [("cs", "cs_verifies_server", True), ("cs", "cs_verifies_user", True)]
-SERVER_CHECK = [("server", "server_verifies_cs", True)]
-
-
-# (dropped kind, tap_server_cs_link): events as (kind, action), checks as
-# (party, check, ok), outcomes as (party, abort).  With the backhaul untapped
-# the adversary never sees M2 or M3, so dropping them leaves an honest run.
-DROP_RUNS = {
-    ("M1", True): (REGISTRATION + [("M1", "dropped")], LOCAL_CHECK, [("server", "undelivered:M1")]),
-    ("M2", True): (
-        REGISTRATION + [("M1", "observed"), ("M2", "dropped")],
-        LOCAL_CHECK,
-        [("cs", "undelivered:M2")],
-    ),
-    ("M3", True): (
-        REGISTRATION + [("M1", "observed"), ("M2", "observed"), ("M3", "dropped")],
-        LOCAL_CHECK + CS_CHECKS,
-        [("cs", None), ("server", "undelivered:M3")],
-    ),
-    ("M4", True): (
-        REGISTRATION + [("M1", "observed"), ("M2", "observed"), ("M3", "observed"), ("M4", "dropped")],
-        LOCAL_CHECK + CS_CHECKS + SERVER_CHECK,
-        [("cs", None), ("server", None), ("card", "undelivered:M4")],
-    ),
-    ("M1", False): (REGISTRATION + [("M1", "dropped")], LOCAL_CHECK, [("server", "undelivered:M1")]),
-    ("M2", False): (
-        REGISTRATION + [("M1", "observed"), ("M2", "none"), ("M3", "none"), ("M4", "observed")],
-        LOCAL_CHECK + CS_CHECKS + SERVER_CHECK + [("card", "card_verifies_cs", True)],
-        [("cs", None), ("server", None), ("card", None)],
-    ),
-    ("M3", False): (
-        REGISTRATION + [("M1", "observed"), ("M2", "none"), ("M3", "none"), ("M4", "observed")],
-        LOCAL_CHECK + CS_CHECKS + SERVER_CHECK + [("card", "card_verifies_cs", True)],
-        [("cs", None), ("server", None), ("card", None)],
-    ),
-    ("M4", False): (
-        REGISTRATION + [("M1", "observed"), ("M2", "none"), ("M3", "none"), ("M4", "dropped")],
-        LOCAL_CHECK + CS_CHECKS + SERVER_CHECK,
-        [("cs", None), ("server", None), ("card", "undelivered:M4")],
-    ),
-}
-
-
-class TestDropPath:
-    # No scenario kind drops a message, so the run object is driven directly.
-    @pytest.mark.parametrize("kind, tap", sorted(DROP_RUNS), ids=lambda v: v if isinstance(v, str) else f"tap={v}")
-    def test_dropped_message_aborts_its_receiver(self, kind, tap):
-        run = simulator._Run(config("honest", seed=27, tap_server_cs_link=tap))
-        run.policy = AdversaryPolicy(mode="drop", target_kind=kind)
-        run.victim_session(run.user_id, run.password)
-        events, checks, outcomes = DROP_RUNS[kind, tap]
-        assert [(e.kind, e.action) for e in run.events] == events
-        assert [(c.party, c.check, c.ok) for c in run.checks] == checks
-        assert [(o.party, o.abort) for o in run.outcomes] == outcomes
 
 
 class TestVerifyTranscript:
