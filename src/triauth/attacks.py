@@ -13,13 +13,13 @@ from .crypto import DIGEST_LEN, _pack_len, frame, hash_bytes, split_concat, xor
 
 
 def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ...]:
-    """Parse a dictionary file: one id<TAB>password pair per line, UTF-8.
+    """Parse a dictionary file: one id<TAB>password pair per line, UTF-8; a leading BOM is skipped.
 
     Line order is significant.  With cross=True the distinct identities and
     distinct passwords in the file are expanded to their full cross product
     (identity-major, both in first-seen order).
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
     pairs = []
     # Only \n ends a line, after an optional \r; str.splitlines() would also split at U+2028 and others.
@@ -39,7 +39,7 @@ def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ..
 
 
 class GuessResult(NamedTuple):
-    """Outcome of an offline guessing run, with the work it took."""
+    """Outcome of an offline guessing run, with the work it took; found credentials are UTF-8 bytes."""
 
     user_id: bytes | None
     password: bytes | None
@@ -51,26 +51,32 @@ class GuessResult(NamedTuple):
 
 
 def guess_credentials(extracted: SmartCard, candidates) -> GuessResult:
-    """Test candidate (id, password) byte pairs against the stolen card's check value.
+    """Test candidate (id, password) text pairs against the stolen card's check value.
 
-    Runs the same computation the card itself does at login, entirely
-    offline: a candidate matches when h(id || h_y || h(b || password))
-    equals the stored c_i.  Returns the first match in candidate order, or
-    a not-found result after exhausting the candidates.
+    Runs the card's own login check offline: a candidate matches when
+    h(id || h_y || h(b || password)) over the UTF-8 encodings equals c_i.
+    Returns the first match in candidate order, as UTF-8 bytes, or a not-found
+    result.  Costs one hash per candidate and one per distinct password, and
+    frames an identity once per run of equal ones.  A lone surrogate raises UnicodeEncodeError.
     """
     # h(id, h_y, a_i) hashes frame(id) + tail, where tail = frame(h_y) + frame(a_i) and
     # a_i = h(b, password) depends on the password alone: one tail per distinct password.
     # Each hash input is framed inline, as concat() frames it: a_i is a DIGEST_LEN digest.
     framed_b, tail_head, c_i = frame(extracted.b), frame(extracted.h_y) + _pack_len(DIGEST_LEN), extracted.c_i
     tails = {}
+    last_id = head = None
     evaluations = 0
     for evaluations, (user_id, password) in enumerate(candidates, start=1):
         tail = tails.get(password)
         if tail is None:
-            tail = tails[password] = tail_head + hash_bytes(framed_b + _pack_len(len(password)) + password)
-        if hash_bytes(_pack_len(len(user_id)) + user_id + tail) == c_i:
-            return GuessResult(user_id=user_id, password=password, evaluations=evaluations)
-    return GuessResult(user_id=None, password=None, evaluations=evaluations)
+            pw = password.encode("utf-8")
+            tail = tails[password] = tail_head + hash_bytes(framed_b + _pack_len(len(pw)) + pw)
+        if user_id != last_id:  # a cross product repeats each identity in a row
+            last_id, ident = user_id, user_id.encode("utf-8")
+            head = _pack_len(len(ident)) + ident
+        if hash_bytes(head + tail) == c_i:
+            return GuessResult(user_id.encode("utf-8"), password.encode("utf-8"), evaluations)
+    return GuessResult(None, None, evaluations)
 
 
 class AdversaryKnowledge:

@@ -728,8 +728,7 @@ def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
 
 
 def _guess(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
-    candidates = ((ident.encode("utf-8"), password.encode("utf-8")) for ident, password in run.cfg.dictionary)
-    guess = guess_credentials(run.card, candidates)
+    guess = guess_credentials(run.card, run.cfg.dictionary)
     success = guess.found and keys_agree(run.victim_session(guess.user_id, guess.password))
     recovered = {}
     if guess.found:

@@ -189,8 +189,7 @@ def test_offline_guess_recovery_100_trials():
         k = rnd.randrange(1000)
         entries = [(f"u{trial}.{i}", f"p{trial}.{i}") for i in range(999)]
         entries.insert(k, (user_id, password))
-        candidates = [(i.encode("utf-8"), p.encode("utf-8")) for i, p in entries]
-        result = guess_credentials(card, candidates)
+        result = guess_credentials(card, entries)
         ok = (
             result.found
             and result.evaluations == k + 1

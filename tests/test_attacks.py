@@ -1,7 +1,9 @@
 """Attack tests: card extraction, offline guessing, masquerade, replay."""
 
+import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +35,6 @@ from helpers import flip, honest_run
 from oracle import ref_concat, ref_guess, ref_h, ref_knows, ref_xor
 
 
-def encoded(pairs):
-    return [(ident.encode("utf-8"), password.encode("utf-8")) for ident, password in pairs]
-
-
 @pytest.fixture
 def cs():
     return ControlServer.generate(BlockRng(777, "cs"))
@@ -45,6 +43,27 @@ def cs():
 @pytest.fixture
 def victim_card(cs):
     return enroll_user(cs, b"alice", b"pw123", BlockRng(777, "user"))
+
+
+def profiled_guess(card, candidates):
+    """guess_credentials' result, with its h and hash_bytes calls counted by code object
+    and its length-prefix packs (one per framed part) counted, under sys.setprofile."""
+    names = {crypto.h.__code__: "h", crypto.hash_bytes.__code__: "hash_bytes"}
+    counts = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+        elif event == "c_call" and arg is crypto._pack_len:
+            counts["_pack_len"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = guess_credentials(card, candidates)
+    finally:
+        sys.setprofile(previous)
+    return result, counts
 
 
 class TestExtractCard:
@@ -83,6 +102,11 @@ class TestDictionary:
         crlf.write_bytes(b"bob\tx1\r\nalice\tpw123\r\n")
         assert read_dictionary_file(crlf) == read_dictionary_file(lf) == (("bob", "x1"), ("alice", "pw123"))
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "dict.tsv"
+        path.write_bytes(b"\xef\xbb\xbfalice\tpw123\n\xef\xbb\xbfbob\tx1\n")
+        assert read_dictionary_file(path) == (("alice", "pw123"), ("\ufeffbob", "x1"))
+
     def test_cross_product_expansion(self, tmp_path):
         path = tmp_path / "dict.tsv"
         path.write_text("u1\tp1\nu2\tp2\n", encoding="utf-8")
@@ -98,34 +122,34 @@ class TestGuessCredentials:
     def test_recovers_planted_pair_and_counts_work(self, cs, victim_card):
         decoys = [(f"user{i}", f"pass{i}") for i in range(99)]
         entries = decoys[:40] + [("alice", "pw123")] + decoys[40:]
-        result = guess_credentials(victim_card, encoded(entries))
+        result = guess_credentials(victim_card, entries)
         assert result.found
         assert (result.user_id, result.password) == (b"alice", b"pw123")
         assert result.evaluations == 41
 
     def test_recovered_pair_logs_in(self, cs, victim_card):
-        result = guess_credentials(victim_card, encoded([("x", "y"), ("alice", "pw123")]))
+        result = guess_credentials(victim_card, [("x", "y"), ("alice", "pw123")])
         m1, _ = card_login(victim_card, result.user_id, result.password, b"sid", BlockRng(0, "login"))
         assert m1 is not None
 
     def test_exhausted_dictionary_reports_not_found(self, victim_card):
-        result = guess_credentials(victim_card, encoded([("a", "b"), ("c", "d")]))
+        result = guess_credentials(victim_card, [("a", "b"), ("c", "d")])
         assert not result.found
         assert result.evaluations == 2
 
     def test_lazy_candidates_counted_without_a_length(self, victim_card):
         assert guess_credentials(victim_card, iter(())) == guess_credentials(victim_card, [])
         assert guess_credentials(victim_card, []).evaluations == 0
-        lazy = guess_credentials(victim_card, (pair for pair in encoded([("a", "b"), ("alice", "pw123")])))
+        lazy = guess_credentials(victim_card, (pair for pair in [("a", "b"), ("alice", "pw123")]))
         assert (lazy.user_id, lazy.password, lazy.evaluations) == (b"alice", b"pw123", 2)
 
     @pytest.mark.parametrize("true_at, expected", [((299,), 300), ((), None), ((120, 299), 121)])
     def test_distinct_passwords_match_brute_force(self, victim_card, true_at, expected):
         # 300 pairs with no repeated password but the true one; the true identity meets wrong passwords
-        decoys = iter(encoded(("alice" if i % 7 == 0 else f"user{i}", f"pass{i}") for i in range(300)))
-        candidates = [(b"alice", b"pw123") if k in true_at else next(decoys) for k in range(300)]
+        decoys = iter(("alice" if i % 7 == 0 else f"user{i}", f"pass{i}") for i in range(300))
+        candidates = [("alice", "pw123") if k in true_at else next(decoys) for k in range(300)]
         result = guess_credentials(victim_card, candidates)
-        assert result == GuessResult(*ref_guess(victim_card, candidates))
+        assert result == GuessResult(*ref_guess(victim_card, [(i.encode(), p.encode()) for i, p in candidates]))
         assert result.found == (expected is not None) and result.evaluations == (expected or 300)
 
     def test_soundness_over_randomized_scenarios(self):
@@ -140,21 +164,42 @@ class TestGuessCredentials:
             k = rnd.randrange(size)
             entries = [(f"u{trial}-{i}", f"p{trial}-{i}") for i in range(size - 1)]
             entries.insert(k, (user_id, password))
-            result = guess_credentials(card, encoded(entries))
+            result = guess_credentials(card, entries)
             assert result.found
             assert result.evaluations == k + 1
             assert (result.user_id, result.password) == (user_id.encode(), password.encode())
 
+    @pytest.mark.parametrize("shape", ["cross", "distinct"])
+    def test_hash_calls_are_evaluations_plus_distinct_passwords(self, victim_card, shape):
+        if shape == "cross":  # 50 x 60, identity-major; the true pair is at 30 * 60 + 40
+            ids = [f"user{k}" for k in range(30)] + ["alice"] + [f"user{k}" for k in range(31, 50)]
+            passwords = [f"pass{k}" for k in range(40)] + ["pw123"] + [f"pass{k}" for k in range(41, 60)]
+            candidates, expected = [(i, p) for i in ids for p in passwords], 1841
+        else:
+            candidates = [(f"user{k}", f"pass{k}") for k in range(3000)]
+            candidates[2000], expected = ("alice", "pw123"), 2001
+        result, counts = profiled_guess(victim_card, candidates)
+        assert (result.user_id, result.password, result.evaluations) == (b"alice", b"pw123", expected)
+        distinct_passwords = len({password for _, password in candidates[:expected]})
+        assert distinct_passwords == (60 if shape == "cross" else expected)
+        assert (counts["hash_bytes"], counts["h"]) == (expected + distinct_passwords, 0)
 
-# Identity and password lengths at the edges of the framing: empty, one byte,
-# the longest length whose prefix has one nonzero octet (255), and a length
-# with two (300); both long ones span several SHA-256 blocks.
-guess_parts = st.one_of(
-    st.just(b""),
-    st.binary(min_size=1, max_size=1),
-    st.binary(min_size=255, max_size=255),
-    st.binary(min_size=300, max_size=300),
-)
+
+@st.composite
+def guess_texts(draw):
+    """Text whose UTF-8 encoding has a length at an edge of the framing: empty,
+    one byte, the longest length whose prefix has one nonzero octet (255), and a
+    length with two (300); both long ones span several SHA-256 blocks and may
+    hold non-ASCII characters of every UTF-8 width."""
+    size = draw(st.sampled_from((0, 1, 255, 300)))
+    text, used = "", 0
+    for char in draw(st.text(max_size=size)):
+        width = len(char.encode("utf-8"))
+        if used + width <= size:
+            text, used = text + char, used + width
+    return text + draw(st.characters(max_codepoint=127)) * (size - used)
+
+
 digests = st.binary(min_size=32, max_size=32)
 
 
@@ -163,18 +208,25 @@ def guess_inputs(draw):
     """A card and candidates drawn from the cross product of small identity and
     password pools: identities and passwords repeat, the true identity meets wrong
     passwords and the true password wrong identities, and the true pair may be
-    missing or present several times."""
-    ids = draw(st.lists(guess_parts, min_size=1, max_size=4, unique=True))
-    passwords = draw(st.lists(guess_parts, min_size=1, max_size=4, unique=True))
+    missing or present several times.  The candidates may be in identity-major
+    order, as a cross product is, so equal identities run; and they may be equal
+    copies of the pools' strings, as a dictionary decoded from JSON holds them."""
+    ids = draw(st.lists(guess_texts(), min_size=1, max_size=4, unique=True))
+    passwords = draw(st.lists(guess_texts(), min_size=1, max_size=4, unique=True))
     true_id, true_password = draw(st.sampled_from(ids)), draw(st.sampled_from(passwords))
     b, h_y = draw(digests), draw(digests)
     card = SmartCard(
-        c_i=ref_h(true_id, h_y, ref_h(b, true_password)), d_i=draw(digests), e_i=draw(digests), h_y=h_y, b=b
+        c_i=ref_h(true_id.encode("utf-8"), h_y, ref_h(b, true_password.encode("utf-8"))),
+        d_i=draw(digests), e_i=draw(digests), h_y=h_y, b=b,
     )
     pairs = [(i, p) for i in ids for p in passwords]
     candidates = draw(st.lists(st.sampled_from(pairs), max_size=16))
     for _ in range(draw(st.integers(0, 2))):
         candidates.insert(draw(st.integers(0, len(candidates))), (true_id, true_password))
+    if draw(st.booleans()):
+        candidates.sort(key=lambda pair: ids.index(pair[0]))
+    if draw(st.booleans()):
+        candidates = [tuple(pair) for pair in json.loads(json.dumps(candidates))]
     return card, candidates, draw(st.booleans())
 
 
@@ -184,7 +236,15 @@ class TestGuessMatchesReference:
     def test_first_match_and_count_equal_brute_force(self, inputs):
         card, candidates, lazy = inputs
         given_candidates = (pair for pair in candidates) if lazy else candidates
-        assert guess_credentials(card, given_candidates) == GuessResult(*ref_guess(card, candidates))
+        result, counts = profiled_guess(card, given_candidates)
+        as_bytes = [(i.encode("utf-8"), p.encode("utf-8")) for i, p in candidates]
+        assert result == GuessResult(*ref_guess(card, as_bytes))
+        # Beyond the framings made for no candidates: one per distinct password tried, and
+        # one per run of equal identities, whether or not the equal strings are one object.
+        tried = candidates[:result.evaluations]
+        runs = sum(1 for k, (user_id, _) in enumerate(tried) if k == 0 or user_id != tried[k - 1][0])
+        framings = counts["_pack_len"] - profiled_guess(card, [])[1]["_pack_len"]
+        assert framings == len({password for _, password in tried}) + runs
 
 
 class TestForgeLogin:
