@@ -151,7 +151,6 @@ class ServerSession(NamedTuple):
     """Server-side state kept between sending M2 and checking M3."""
 
     n_i2: bytes
-    m1: M1
 
 
 class CsSession(NamedTuple):
@@ -240,7 +239,7 @@ def server_forward(secrets: ServerSecrets, m1: M1, rng: BlockRng) -> tuple[M2, S
     n_i2 = rng.next_block()
     k_i = xor(secrets.k_sid_y, n_i2)
     m_i = h(secrets.k_x_y, n_i2)
-    return M2(m1=m1, sid=secrets.sid, k_i=k_i, m_i=m_i), ServerSession(n_i2=n_i2, m1=m1)
+    return M2(m1=m1, sid=secrets.sid, k_i=k_i, m_i=m_i), ServerSession(n_i2=n_i2)
 
 
 def cs_authenticate(cs: ControlServer, m2: M2, rng: BlockRng) -> tuple[M3, CsSession]:

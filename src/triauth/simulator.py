@@ -479,6 +479,9 @@ class Transcript(NamedTuple):
                 codec = _BY_TAG.get(record.get("record"))
                 if codec is None:
                     raise TranscriptFormatError(f"unknown record type: {record.get('record')!r}")
+                if found["result"] or (codec.tag == "report" and found["report"]):
+                    last = "result" if found["result"] else "report"
+                    raise TranscriptFormatError(f"line {lineno}: {codec.tag} record after the {last} record")
                 found[codec.tag].append(codec.decode(record))
         except TranscriptFormatError:
             raise
@@ -491,8 +494,8 @@ class Transcript(NamedTuple):
             events=tuple(found["event"]),
             checks=tuple(found["check"]),
             outcomes=tuple(found["outcome"]),
-            report=found["report"][-1] if found["report"] else None,
-            result=found["result"][-1],
+            report=found["report"][0] if found["report"] else None,
+            result=found["result"][0],
         )
 
     def adversary_view(self) -> tuple[ChannelEvent, ...]:
@@ -548,9 +551,9 @@ class _Run:
     """One scenario run: its seeded streams and actors, and what it records.
 
     Building it registers the victim.  It holds the event log, checks and
-    outcomes.  The config fixes what the channel adversary does: a mutation
-    run flips a byte of its target (message kind, field), and every other
-    run only observes.
+    outcomes; exchange and victim_session append each record as it happens.
+    The config fixes what the channel adversary does: a mutation run flips
+    a byte of its target (message kind, field), and every other run only observes.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -575,15 +578,6 @@ class _Run:
         self.events.append(
             ChannelEvent(len(self.events), session, sender, receiver, kind, "secure", "none", payload)
         )
-
-    def check(self, session: int, party: str, name: str, ok: bool) -> None:
-        self.checks.append(CheckRecord(session, party, name, ok))
-
-    def key(self, session: int, party: str, sk: bytes) -> None:
-        self.outcomes.append(PartyOutcome(session, party, sk))
-
-    def abort(self, session: int, party: str, reason: str) -> None:
-        self.outcomes.append(PartyOutcome(session, party, None, reason))
 
     def first_abort(self) -> tuple[str, str] | None:
         for outcome in self.outcomes:
@@ -652,12 +646,12 @@ class _Run:
             except aborts as exc:
                 failed = type(exc)
             for name, abort, _ in checks:
-                self.check(session, party, name, abort is not failed)
+                self.checks.append(CheckRecord(session, party, name, abort is not failed))
                 if abort is failed:
-                    self.abort(session, party, abort.__name__)
+                    self.outcomes.append(PartyOutcome(session, party, None, abort.__name__))
                     return keys
             if key is not None:
-                self.key(session, party, key)
+                self.outcomes.append(PartyOutcome(session, party, key))
                 keys[receiver] = key
             sender = wire_receiver
         return keys
@@ -667,9 +661,9 @@ class _Run:
         try:
             m1, card_session = card_login(self.card, user_id, password, self.sid, self.rng_user)
         except LocalCheckFailed:
-            self.check(1, "card", "card_local_check", False)
+            self.checks.append(CheckRecord(1, "card", "card_local_check", False))
             return {}
-        self.check(1, "card", "card_local_check", True)
+        self.checks.append(CheckRecord(1, "card", "card_local_check", True))
         return self.exchange(1, m1, card_session)
 
 
@@ -677,16 +671,16 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _honest(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+def _honest(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     agree = keys_agree(run.victim_session(run.user_id, run.password))
     abort = run.first_abort()
     detail = "session keys agree" if agree else (
         f"abort {abort[1]} at {abort[0]}" if abort else "session keys disagree"
     )
-    return None, ScenarioResult(expectations_met=agree, detail=detail)
+    return ScenarioResult(agree, detail), None, None
 
 
-def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+def _replay(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     run.victim_session(run.user_id, run.password)
     # Nothing in M1 binds it to a session, so the byte-exact copy passes again.
     captured = decode_message("M1", next(e.payload for e in run.events if e.kind == "M1"))
@@ -697,18 +691,14 @@ def _replay(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
         knowledge.observe(e.payload, *_wire_parts(e.kind, e.payload))
     # CS's session-2 key is h(h_ab || nonce_xor); knows() reads that preimage.
     knows_sk = "cs" in keys and knowledge.knows(keys["cs"], concat(run.states["cs"].h_ab, run.states["cs"].nonce_xor))
-    report = AttackReport(
-        name="replay", success=accepted, work=1,
-        recovered={"adversary_knows_session_key": _yes(knows_sk)},
-    )
     detail = (
         f"replayed M1 accepted by CS and server: {_yes(accepted)}; "
         f"adversary knows session key: {_yes(knows_sk)}"
     )
-    return report, ScenarioResult(expectations_met=accepted, detail=detail)
+    return ScenarioResult(accepted, detail), 1, {"adversary_knows_session_key": _yes(knows_sk)}
 
 
-def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+def _masquerade(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     # The attacker's own card and credentials build an M1 that the control
     # server cannot tell apart from any other user's login.
     attacker_id = run.cfg.attacker_id.encode("utf-8")
@@ -717,17 +707,14 @@ def _masquerade(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
     m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, run.rng_attacker)
     keys = run.exchange(1, m1, card_session, user_party="attacker")
     agree = keys_agree(keys)
-    report = AttackReport(
-        name="masquerade", success=agree, work=1, recovered={"shared_session_key": _yes(agree)},
-    )
     detail = (
         f"forged M1 accepted by CS: {_yes('cs' in keys)}; "
         f"attacker, server, and CS share one key: {_yes(agree)}"
     )
-    return report, ScenarioResult(expectations_met=agree, detail=detail)
+    return ScenarioResult(agree, detail), 1, {"shared_session_key": _yes(agree)}
 
 
-def _guess(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+def _guess(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     guess = guess_credentials(run.card, run.cfg.dictionary)
     success = guess.found and keys_agree(run.victim_session(guess.user_id, guess.password))
     recovered = {}
@@ -736,17 +723,16 @@ def _guess(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
             "user_id": guess.user_id.decode("utf-8", "replace"),
             "password": guess.password.decode("utf-8", "replace"),
         }
-    report = AttackReport(name="guess", success=success, work=guess.evaluations, recovered=recovered)
     if success:
         detail = f"credentials recovered after {guess.evaluations} evaluations"
     elif guess.found:
         detail = f"recovered credentials failed login validation ({guess.evaluations} evaluations)"
     else:
         detail = f"credentials not in dictionary ({guess.evaluations} evaluations)"
-    return report, ScenarioResult(expectations_met=success, detail=detail)
+    return ScenarioResult(success, detail), guess.evaluations, recovered
 
 
-def _mutation(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
+def _mutation(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     target = run.cfg.mutation_target
     expected_abort, expected_party = MUTATION_TARGETS[target][2:]
     run.victim_session(run.user_id, run.password)
@@ -756,9 +742,10 @@ def _mutation(run: _Run) -> tuple[AttackReport | None, ScenarioResult]:
         detail = f"{target}: abort {abort[1]} at {abort[0]} {expected}"
     else:
         detail = f"{target}: no abort {expected}"
-    return None, ScenarioResult(expectations_met=abort == (expected_party, expected_abort), detail=detail)
+    return ScenarioResult(abort == (expected_party, expected_abort), detail), None, None
 
 
+# kind -> scenario; each returns its result and its attack's work and recovered values, or None, None.
 _SCENARIOS = {
     "honest": _honest,
     "replay": _replay,
@@ -777,7 +764,8 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     Protocol aborts are recorded in the transcript, never raised.
     """
     run = _Run(cfg)
-    report, result = _SCENARIOS[cfg.kind](run)
+    result, work, recovered = _SCENARIOS[cfg.kind](run)
+    report = None if work is None else AttackReport(cfg.kind, result.expectations_met, work, recovered)
     return Transcript(
         config=cfg,
         events=tuple(run.events),

@@ -241,6 +241,11 @@ class TestJsonlRoundTripProperty:
     def test_from_jsonl_inverts_to_jsonl(self, cfg):
         t = run_scenario(cfg)
         assert Transcript.from_jsonl(t.to_jsonl()) == t
+        # an attack report is named after its kind and succeeds exactly when the run met its expectation
+        if cfg.kind in ("honest", "mutation"):
+            assert t.report is None
+        else:
+            assert (t.report.name, t.report.success) == (cfg.kind, t.result.expectations_met)
 
 
 # Text that JSON must escape: quotes, backslashes, control characters, the
@@ -328,6 +333,16 @@ class TestGuessScenario:
         assert not t.report.success
         assert t.report.work == 2
         assert not t.result.expectations_met
+
+    def test_victim_session_with_a_password_the_card_rejects(self):
+        # a guess run logs in only with credentials the card's check accepted, so no scenario reaches this
+        run = simulator._Run(config("guess", seed=16))
+        registration = list(run.events)
+        assert run.victim_session(run.user_id, b"wrong") == {}
+        assert run.checks == [simulator.CheckRecord(1, "card", "card_local_check", False)]
+        assert run.outcomes == []
+        assert run.events == registration
+        assert all(e.channel == "secure" for e in run.events)
 
 
 class TestMutationScenario:
@@ -467,6 +482,20 @@ class TestVerifyTranscript:
         trimmed = "\n".join(text.splitlines()[:-1]) + "\n"
         with pytest.raises(TranscriptFormatError):
             Transcript.from_jsonl(trimmed)
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("honest", lambda lines: [*lines, lines[-1].replace('"expectations_met":true', '"expectations_met":false')],
+         "result record after the result record"),
+        ("honest", lambda lines: [*lines, lines[-2]], "outcome record after the result record"),
+        ("honest", lambda lines: [*lines[:-2], lines[-1], lines[-2]], "outcome record after the result record"),
+        ("masquerade", lambda lines: [*lines[:-1], lines[-2], lines[-1]], "report record after the report record"),
+        ("masquerade", lambda lines: [*lines[:-2], lines[-1], lines[-2]], "report record after the result record"),
+    ], ids=["second result", "record after the result", "result not last", "second report", "report after the result"])
+    def test_from_jsonl_rejects_all_but_one_last_result_and_at_most_one_report(self, kind, edit, message):
+        lines = run_scenario(config(kind, seed=32)).to_jsonl().splitlines()
+        assert '"expectations_met":true' in lines[-1]
+        with pytest.raises(TranscriptFormatError, match=message):
+            Transcript.from_jsonl("\n".join(edit(lines)) + "\n")
 
     @pytest.mark.parametrize("old, new, message", [
         ('"step":3}', '"step":"3"}', "step must be int, not str"),
