@@ -294,14 +294,10 @@ class ScenarioResult(NamedTuple):
 _JSON_OUT = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 _JSON_IN = json.JSONDecoder()
 
-# The JSON text _JSON_OUT writes for a value of each declared field type;
-# a bytes field travels as a lowercase hex string.
-_TO_JSON = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda value: "true" if value else "false",
-    bytes: lambda value: f'"{value.hex()}"',
-}
+# Python source for the JSON text _JSON_OUT writes for a value {} of each declared field
+# type, a bytes field as a lowercase hex string; any other class, such as dict, goes through _JSON_OUT.
+_TO_JSON = {str: "_str({})", int: "_int({})", bool: "('true' if {} else 'false')", bytes: "'\"' + {}.hex() + '\"'"}
+_LINE_GLOBALS = {"_str": encode_basestring_ascii, "_int": int.__repr__, "_json": _JSON_OUT.encode}
 
 
 def _field_types(field_type) -> tuple:
@@ -310,12 +306,37 @@ def _field_types(field_type) -> tuple:
     return tuple(get_origin(member) or member for member in members)
 
 
-def _json_writer(types: tuple, omit_none: bool):
-    """The converter for a field of these classes; any other class, such as dict, goes through _JSON_OUT."""
-    write = _TO_JSON.get(next(t for t in types if t is not type(None)), _JSON_OUT.encode)
-    if type(None) in types and not omit_none:
-        return lambda value: "null" if value is None else write(value)
-    return write
+def _compile_line(spec: list, tag: str | None, omit_none: bool):
+    """The function that writes a record r as the JSON text _JSON_OUT.encode(codec.encode(r)) gives.
+
+    It joins the "key":value pairs in sorted key order, each field's
+    converter inlined; like namedtuple's __new__, it is one eval of a
+    generated lambda.  With omit_none, a None field's pair is left out with
+    the comma that joins it to the first pair always written.
+    """
+    fields = {key: (f"r[{pos}]", types) for pos, (_, key, types) in enumerate(spec)}
+    if tag is not None:
+        fields["record"] = (None, (str,))
+    keys = sorted(fields)
+    omitted = [omit_none and type(None) in fields[key][1] for key in keys]
+    first = omitted.index(False)
+    source, text = [], "{"
+    for i, key in enumerate(keys):
+        value, types = fields[key]
+        pair = "," * (i > first) + encode_basestring_ascii(key) + ":"
+        if value is None:
+            text += pair + encode_basestring_ascii(tag)
+            continue
+        write = _TO_JSON.get(next(t for t in types if t is not type(None)), "_json({})").format(value)
+        if omitted[i]:
+            source += [repr(text), f"('' if {value} is None else {pair!r} + {write} + {',' * (i < first)!r})"]
+        else:
+            if type(None) in types:
+                write = f"('null' if {value} is None else {write})"
+            source += [repr(text + pair), write]
+        text = ""
+    source.append(repr(text + "}"))
+    return eval(f"lambda r: ''.join(({', '.join(s for s in source if s != repr(''))}))", _LINE_GLOBALS)
 
 
 class _Codec:
@@ -324,8 +345,7 @@ class _Codec:
     Bytes fields travel as lowercase hex, keys may be renamed, and a codec
     with omit_none leaves None fields out.  Decoding rejects a value whose
     class is not the field's declared type, so every decoded object can be
-    written again by its line plan.  The field spec and the line plan are
-    computed once.
+    written again by line(), which is compiled once from the field spec.
     """
 
     def __init__(self, cls, tag: str | None = None, rename: dict | None = None, omit_none: bool = False):
@@ -338,16 +358,7 @@ class _Codec:
         self._renamed = tuple((name, key) for name, key, _ in spec if key != name)
         self._hex = tuple((name, key) for name, key, types in spec if bytes in types)
         self._types = tuple((name, types) for name, _, types in spec)
-        # Line plan: ('"key":', position in the record, converter) in sorted
-        # key order.  line() appends the tag to the field values, so "record"
-        # is one more string value in its sorted place.
-        plan = {key: (pos, _json_writer(types, omit_none)) for pos, (_, key, types) in enumerate(spec)}
-        if tag is not None:
-            plan["record"] = (len(spec), encode_basestring_ascii)
-        self._plan = tuple((f"{encode_basestring_ascii(key)}:", *entry) for key, entry in sorted(plan.items()))
-        # line() leaves out each value that is this object: None when None
-        # fields are omitted, else a sentinel no field holds.
-        self._skip = None if omit_none else object()
+        self.line = _compile_line(spec, tag, omit_none)
 
     def encode(self, obj) -> dict:
         record = dict(zip(self._keys, obj))
@@ -403,6 +414,7 @@ _CODECS = {
     )
 }
 _BY_TAG = {codec.tag: codec for codec in _CODECS.values() if codec.tag is not None}
+_RANK = {tag: rank for rank, tag in enumerate(_BY_TAG)}  # the order in which to_jsonl writes records
 
 
 def _loads(line: str, lineno: int) -> dict:
@@ -415,16 +427,9 @@ def _loads(line: str, lineno: int) -> dict:
     return record
 
 
-def _header(cfg: ScenarioConfig) -> dict:
-    return {
-        "record": "header",
-        "artifact": ARTIFACT_NAME,
-        "version": ARTIFACT_VERSION,
-        "hash": HASH_NAME,
-        "scenario": cfg.kind,
-        "seed": cfg.seed,
-        "config": cfg.to_dict(),
-    }
+# The header line, keys sorted; the config's line, the scenario kind and the seed fill its slots.
+_HEADER_LINE = '{"artifact":%s,"config":%%s,"hash":%s,"record":"header","scenario":%%s,"seed":%%d,"version":%s}' % tuple(
+    map(encode_basestring_ascii, (ARTIFACT_NAME, HASH_NAME, ARTIFACT_VERSION)))
 
 
 def _decode_header(line: str) -> ScenarioConfig:
@@ -441,8 +446,9 @@ def _decode_header(line: str) -> ScenarioConfig:
     if "config" not in header:
         raise TranscriptFormatError("header lacks a config")
     cfg = ScenarioConfig.from_dict(header["config"])
-    for key, expected in _header(cfg).items():
-        if key != "config" and header.get(key) != expected:
+    fixed = {"artifact": ARTIFACT_NAME, "version": ARTIFACT_VERSION, "hash": HASH_NAME}
+    for key, expected in (*fixed.items(), ("scenario", cfg.kind), ("seed", cfg.seed)):
+        if header.get(key) != expected:
             raise TranscriptFormatError(f"header {key} is {header.get(key)!r}, expected {expected!r}")
     return cfg
 
@@ -458,36 +464,40 @@ class Transcript(NamedTuple):
     result: ScenarioResult
 
     def to_jsonl(self) -> str:
-        records = [*self.events, *self.checks, *self.outcomes]
+        cfg = self.config
+        lines = [_HEADER_LINE % (_CODECS[ScenarioConfig].line(cfg), encode_basestring_ascii(cfg.kind), cfg.seed)]
+        lines += map(_CODECS[ChannelEvent].line, self.events)
+        lines += map(_CODECS[CheckRecord].line, self.checks)
+        lines += map(_CODECS[PartyOutcome].line, self.outcomes)
         if self.report is not None:
-            records.append(self.report)
-        records.append(self.result)
-        lines = [_JSON_OUT.encode(_header(self.config))]
-        lines.extend(_CODECS[type(r)].line(r) for r in records)
+            lines.append(_CODECS[AttackReport].line(self.report))
+        lines.append(_CODECS[ScenarioResult].line(self.result))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        r"""Decode a transcript.  Only \n ends a line, so a raw U+2028 stays inside its string;
-        a CRLF copy decodes like the original, because \r is JSON whitespace."""
+        r"""Decode a transcript with its records in to_jsonl's order.  Only \n ends a line, so a raw U+2028
+        stays inside its string; a CRLF copy decodes like the original, because \r is JSON whitespace."""
         lines = [line for line in text.split("\n") if line.strip()]
         found = {tag: [] for tag in _BY_TAG}
+        last, lineno = None, 1
         try:
             config = _decode_header(lines[0] if lines else "")
             for lineno, line in enumerate(lines[1:], start=2):
                 record = _loads(line, lineno)
-                codec = _BY_TAG.get(record.get("record"))
-                if codec is None:
-                    raise TranscriptFormatError(f"unknown record type: {record.get('record')!r}")
-                if found["result"] or (codec.tag == "report" and found["report"]):
-                    last = "result" if found["result"] else "report"
-                    raise TranscriptFormatError(f"line {lineno}: {codec.tag} record after the {last} record")
-                found[codec.tag].append(codec.decode(record))
+                tag = record.get("record")
+                if tag not in _BY_TAG:
+                    raise TranscriptFormatError(f"line {lineno}: unknown record type: {tag!r}")
+                # events, checks, outcomes, at most one report, then the one result
+                if last is not None and (_RANK[tag] < _RANK[last] or tag == last in ("report", "result")):
+                    raise TranscriptFormatError(f"line {lineno}: {tag} record after the {last} record")
+                found[tag].append(_BY_TAG[tag].decode(record))
+                last = tag
         except TranscriptFormatError:
             raise
         except (TypeError, ValueError) as exc:
-            raise TranscriptFormatError(f"bad record: {exc}") from exc
-        if not found["result"]:
+            raise TranscriptFormatError(f"line {lineno}: bad record: {exc}") from exc
+        if last != "result":
             raise TranscriptFormatError("missing result record")
         return cls(
             config=config,

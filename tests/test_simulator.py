@@ -240,7 +240,9 @@ class TestJsonlRoundTripProperty:
     @given(scenario_configs())
     def test_from_jsonl_inverts_to_jsonl(self, cfg):
         t = run_scenario(cfg)
-        assert Transcript.from_jsonl(t.to_jsonl()) == t
+        text = t.to_jsonl()
+        assert Transcript.from_jsonl(text) == t
+        assert Transcript.from_jsonl(text).to_jsonl() == text
         # an attack report is named after its kind and succeeds exactly when the run met its expectation
         if cfg.kind in ("honest", "mutation"):
             assert t.report is None
@@ -284,6 +286,23 @@ class TestLinePlanProperty:
         codec, record = codec_record
         encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
         assert codec.line(record) == encoder.encode(codec.encode(record))
+
+
+class TestHeaderLineProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(scenario_configs())
+    def test_header_equals_the_json_encoder(self, cfg):
+        header = {
+            "record": "header",
+            "artifact": simulator.ARTIFACT_NAME,
+            "version": simulator.ARTIFACT_VERSION,
+            "hash": simulator.HASH_NAME,
+            "scenario": cfg.kind,
+            "seed": cfg.seed,
+            "config": cfg.to_dict(),
+        }
+        first_line = run_scenario(cfg).to_jsonl().partition("\n")[0]
+        assert first_line == json.dumps(header, sort_keys=True, separators=(",", ":"))
 
 
 class TestReplayScenario:
@@ -410,6 +429,14 @@ class TestAdversaryTap:
         assert (mutated.f_i, mutated.p_ij, mutated.cid_i) == (run.m1.f_i, run.m1.p_ij, run.m1.cid_i)
 
 
+def move_first(lines, tag, before):
+    """The transcript lines with the first record of type tag moved to just before the first of type before."""
+    lines = list(lines)
+    moved = lines.pop(next(i for i, line in enumerate(lines) if f'"record":"{tag}"' in line))
+    at = next(i for i, line in enumerate(lines) if f'"record":"{before}"' in line)
+    return [*lines[:at], moved, *lines[at:]]
+
+
 class TestVerifyTranscript:
     def test_fresh_transcript_consistent(self):
         text = run_scenario(config("honest", seed=30)).to_jsonl()
@@ -490,7 +517,12 @@ class TestVerifyTranscript:
         ("honest", lambda lines: [*lines[:-2], lines[-1], lines[-2]], "outcome record after the result record"),
         ("masquerade", lambda lines: [*lines[:-1], lines[-2], lines[-1]], "report record after the report record"),
         ("masquerade", lambda lines: [*lines[:-2], lines[-1], lines[-2]], "report record after the result record"),
-    ], ids=["second result", "record after the result", "result not last", "second report", "report after the result"])
+        ("honest", lambda lines: move_first(lines, "check", "event"), "line 3: event record after the check record"),
+        ("honest", lambda lines: move_first(lines, "event", "result"), "line 15: event record after the outcome record"),
+        ("masquerade", lambda lines: move_first(lines, "report", "outcome"),
+         "line 15: outcome record after the report record"),
+    ], ids=["second result", "record after the result", "result not last", "second report", "report after the result",
+            "check before an event", "event after an outcome", "report before an outcome"])
     def test_from_jsonl_rejects_all_but_one_last_result_and_at_most_one_report(self, kind, edit, message):
         lines = run_scenario(config(kind, seed=32)).to_jsonl().splitlines()
         assert '"expectations_met":true' in lines[-1]
@@ -509,7 +541,8 @@ class TestVerifyTranscript:
         text = run_scenario(config("masquerade", seed=32)).to_jsonl()
         edited = text.replace(old, new, 1)
         assert edited != text
-        with pytest.raises(TranscriptFormatError, match=message):
+        lineno = edited[:edited.index(new)].count("\n") + 1
+        with pytest.raises(TranscriptFormatError, match=f"^line {lineno}: bad record: {message}$"):
             Transcript.from_jsonl(edited)
 
 
