@@ -309,9 +309,9 @@ def _field_types(field_type) -> tuple:
 def _compile_line(spec: list, tag: str | None, omit_none: bool):
     """The function that writes a record r as the JSON text _JSON_OUT.encode(codec.encode(r)) gives.
 
-    It joins the "key":value pairs in sorted key order, each field's
-    converter inlined; like namedtuple's __new__, it is one eval of a
-    generated lambda.  With omit_none, a None field's pair is left out with
+    It fills a template of the "key":value pairs in sorted key order, each
+    field's converter inlined; like namedtuple's __new__, it is one eval of
+    a generated lambda.  With omit_none, a None field's pair is left out with
     the comma that joins it to the first pair always written.
     """
     fields = {key: (f"r[{pos}]", types) for pos, (_, key, types) in enumerate(spec)}
@@ -320,23 +320,23 @@ def _compile_line(spec: list, tag: str | None, omit_none: bool):
     keys = sorted(fields)
     omitted = [omit_none and type(None) in fields[key][1] for key in keys]
     first = omitted.index(False)
-    source, text = [], "{"
+    parts, values = ["{"], []  # the template's text between its %s slots, and each slot's value
     for i, key in enumerate(keys):
         value, types = fields[key]
         pair = "," * (i > first) + encode_basestring_ascii(key) + ":"
         if value is None:
-            text += pair + encode_basestring_ascii(tag)
+            parts[-1] += pair + encode_basestring_ascii(tag)
             continue
         write = _TO_JSON.get(next(t for t in types if t is not type(None)), "_json({})").format(value)
         if omitted[i]:
-            source += [repr(text), f"('' if {value} is None else {pair!r} + {write} + {',' * (i < first)!r})"]
+            after = " + ','" if i < first else ""
+            values.append(f"('' if {value} is None else {pair!r} + {write}{after})")
         else:
-            if type(None) in types:
-                write = f"('null' if {value} is None else {write})"
-            source += [repr(text + pair), write]
-        text = ""
-    source.append(repr(text + "}"))
-    return eval(f"lambda r: ''.join(({', '.join(s for s in source if s != repr(''))}))", _LINE_GLOBALS)
+            parts[-1] += pair
+            values.append(f"('null' if {value} is None else {write})" if type(None) in types else write)
+        parts.append("")
+    template = "%s".join(part.replace("%", "%%") for part in parts) + "}"
+    return eval(f"lambda r: {template!r} % ({', '.join(values)},)", _LINE_GLOBALS)
 
 
 class _Codec:
