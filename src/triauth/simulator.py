@@ -309,10 +309,9 @@ def _field_types(field_type) -> tuple:
 def _compile_line(spec: list, tag: str | None, omit_none: bool):
     """The function that writes a record r as the JSON text _JSON_OUT.encode(codec.encode(r)) gives.
 
-    It fills a template of the "key":value pairs in sorted key order, each
-    field's converter inlined; like namedtuple's __new__, it is one eval of
-    a generated lambda.  With omit_none, a None field's pair is left out with
-    the comma that joins it to the first pair always written.
+    It fills a template of the sorted "key":value pairs with each field's converter inlined; like
+    namedtuple's __new__, it is one eval of a generated lambda.  With omit_none, a None field's pair
+    is left out with the comma that joins it to the first pair always written.
     """
     fields = {key: (f"r[{pos}]", types) for pos, (_, key, types) in enumerate(spec)}
     if tag is not None:
@@ -446,8 +445,9 @@ def _decode_header(line: str) -> ScenarioConfig:
     if "config" not in header:
         raise TranscriptFormatError("header lacks a config")
     cfg = ScenarioConfig.from_dict(header["config"])
-    fixed = {"artifact": ARTIFACT_NAME, "version": ARTIFACT_VERSION, "hash": HASH_NAME}
-    for key, expected in (*fixed.items(), ("scenario", cfg.kind), ("seed", cfg.seed)):
+    fields = {"artifact": ARTIFACT_NAME, "version": ARTIFACT_VERSION, "hash": HASH_NAME,
+              "scenario": cfg.kind, "seed": cfg.seed}
+    for key, expected in fields.items():
         if header.get(key) != expected:
             raise TranscriptFormatError(f"header {key} is {header.get(key)!r}, expected {expected!r}")
     return cfg

@@ -536,7 +536,7 @@ class TestVerifyTranscript:
         ('"recovered":{"shared_session_key":"yes"}', '"recovered":["yes"]', "recovered must be dict, not list"),
     ])
     def test_from_jsonl_rejects_a_value_of_another_type(self, old, new, message):
-        # the line plan writes each value by its declared type, so a decoded
+        # the line writer writes each value by its declared type, so a decoded
         # record must hold exactly that type to be written back unchanged
         text = run_scenario(config("masquerade", seed=32)).to_jsonl()
         edited = text.replace(old, new, 1)
