@@ -370,16 +370,6 @@ class _Codec:
             record["record"] = self.tag
         return record
 
-    def line(self, obj) -> str:
-        """The JSON text _JSON_OUT.encode(self.encode(obj)) gives, written field by field."""
-        values = (*obj, self.tag)
-        skip = self._skip
-        pairs = []
-        for key, pos, write in self._plan:
-            if values[pos] is not skip:
-                pairs.append(key + write(values[pos]))
-        return "{" + ",".join(pairs) + "}"
-
     def decode(self, record: dict):
         """Build the record; absent keys take the field default, unknown keys raise TypeError."""
         kwargs = dict(record)
@@ -426,12 +416,15 @@ def _loads(line: str, lineno: int) -> dict:
     return record
 
 
+# The header fields every run writes alike; _decode_header checks them in this order.
+_HEADER_FIXED = {"artifact": ARTIFACT_NAME, "version": ARTIFACT_VERSION, "hash": HASH_NAME}
 # The header line, keys sorted; the config's line, the scenario kind and the seed fill its slots.
-_HEADER_LINE = '{"artifact":%s,"config":%%s,"hash":%s,"record":"header","scenario":%%s,"seed":%%d,"version":%s}' % tuple(
-    map(encode_basestring_ascii, (ARTIFACT_NAME, HASH_NAME, ARTIFACT_VERSION)))
+_HEADER_LINE = "{%s}" % ",".join(f"{encode_basestring_ascii(key)}:{value}" for key, value in sorted({
+    **{key: encode_basestring_ascii(value) for key, value in _HEADER_FIXED.items()},
+    "config": "%s", "record": '"header"', "scenario": "%s", "seed": "%d"}.items()))
 
 
-def _decode_header(line: str) -> ScenarioConfig:
+def _decode_header(line: str, lineno: int = 1) -> ScenarioConfig:
     """The run a transcript's header line names; raises ConfigError or TranscriptFormatError.
 
     Every header field must be exactly what a fresh run of that config
@@ -439,15 +432,13 @@ def _decode_header(line: str) -> ScenarioConfig:
     """
     if not line.strip():
         raise TranscriptFormatError("empty transcript")
-    header = _loads(line, 1)
+    header = _loads(line, lineno)
     if header.get("record") != "header":
         raise TranscriptFormatError("first record must be the header")
     if "config" not in header:
         raise TranscriptFormatError("header lacks a config")
     cfg = ScenarioConfig.from_dict(header["config"])
-    fields = {"artifact": ARTIFACT_NAME, "version": ARTIFACT_VERSION, "hash": HASH_NAME,
-              "scenario": cfg.kind, "seed": cfg.seed}
-    for key, expected in fields.items():
+    for key, expected in {**_HEADER_FIXED, "scenario": cfg.kind, "seed": cfg.seed}.items():
         if header.get(key) != expected:
             raise TranscriptFormatError(f"header {key} is {header.get(key)!r}, expected {expected!r}")
     return cfg
@@ -478,12 +469,13 @@ class Transcript(NamedTuple):
     def from_jsonl(cls, text: str) -> "Transcript":
         r"""Decode a transcript with its records in to_jsonl's order.  Only \n ends a line, so a raw U+2028
         stays inside its string; a CRLF copy decodes like the original, because \r is JSON whitespace."""
-        lines = [line for line in text.split("\n") if line.strip()]
+        lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
         found = {tag: [] for tag in _BY_TAG}
-        last, lineno = None, 1
+        last = None
+        lineno, line = lines[0] if lines else (1, "")
         try:
-            config = _decode_header(lines[0] if lines else "")
-            for lineno, line in enumerate(lines[1:], start=2):
+            config = _decode_header(line, lineno)
+            for lineno, line in lines[1:]:
                 record = _loads(line, lineno)
                 tag = record.get("record")
                 if tag not in _BY_TAG:

@@ -545,6 +545,17 @@ class TestVerifyTranscript:
         with pytest.raises(TranscriptFormatError, match=f"^line {lineno}: bad record: {message}$"):
             Transcript.from_jsonl(edited)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('"step":3}', '"step":"3"}', "bad record: step must be int, not str"),
+        ('"record":"check"', '"record":"note"', "unknown record type: 'note'"),
+    ])
+    def test_record_errors_count_blank_lines(self, old, new, message):
+        lines = run_scenario(config("honest", seed=32)).to_jsonl().replace(old, new, 1).split("\n")
+        edited = "\n".join(["", lines[0], "", " ", *lines[1:]])
+        lineno = edited[:edited.index(new)].count("\n") + 1
+        with pytest.raises(TranscriptFormatError, match=f"^line {lineno}: {message}$"):
+            Transcript.from_jsonl(edited)
+
 
 @st.composite
 def edited_transcripts(draw):
