@@ -31,32 +31,42 @@ class CSAuthFailed(ProtocolError):
     """The control server's response failed verification downstream."""
 
 
-def checked(cls):
-    """Pass every record cls builds through cls._checked, which returns the record to keep.
+def _reject_fields(fields: tuple):
+    """Raise for the first (name, value) a digest record cannot hold: an empty sid, or a digest of another length."""
+    for name, value in fields:
+        if name == "sid":
+            if not value:
+                raise ValueError("sid must be non-empty")
+        elif len(value) != DIGEST_LEN:
+            raise ValueError(f"{name} must be {DIGEST_LEN} bytes, got {len(value)}")
 
-    NamedTuple's _make, which _replace calls, skips __new__, so both are wrapped.
+
+def _digest_record(cls):
+    """Give cls a __new__ that takes its fields by position or keyword and checks them as it builds the record.
+
+    A sid must be non-empty and every other bytes field a digest, in field order.  Like namedtuple's own
+    __new__, the new one is one eval of a generated lambda.  NamedTuple's _make, which _replace calls,
+    skips __new__, so it builds through the new one.
     """
-    new, make = cls.__new__, cls._make.__func__
-    cls.__new__ = staticmethod(lambda klass, *args, **kwargs: new(klass, *args, **kwargs)._checked())
-    cls._make = classmethod(lambda klass, iterable: make(klass, iterable)._checked())
+    checked = [name for name, field_type in cls.__annotations__.items() if name == "sid" or field_type is bytes]
+    tests = " and ".join(name if name == "sid" else f"{DIGEST_LEN} == len({name})" for name in checked)
+    fields = ", ".join(cls._fields)
+    named = ", ".join(f"({name!r}, {name})" for name in checked)
+    new = eval(f"lambda _cls, {fields}: _new(_cls, ({fields},)) if {tests} else _reject(({named},))",
+               {"_new": tuple.__new__, "_reject": _reject_fields})
+    new.__name__, new.__qualname__ = "__new__", f"{cls.__name__}.__new__"
+    make = cls._make.__func__
+    cls.__new__ = staticmethod(new)
+    cls._make = classmethod(lambda klass, iterable: klass(*make(klass, iterable)))
     return cls
 
 
-def _require_digests(record, start: int = 0):
-    """Check that each field of record from position start on is a digest; returns record."""
-    for pos, value in enumerate(record[start:], start):
-        if len(value) != DIGEST_LEN:
-            raise ValueError(f"{record._fields[pos]} must be {DIGEST_LEN} bytes, got {len(value)}")
-    return record
-
-
-@checked
+@_digest_record
 class ControlServer(NamedTuple):
     """Registration authority; its master secrets x and y never leave it."""
 
     x: bytes
     y: bytes
-    _checked = _require_digests
 
     @classmethod
     def generate(cls, rng: BlockRng) -> "ControlServer":
@@ -67,7 +77,7 @@ class ControlServer(NamedTuple):
         return h(self.y)
 
 
-@checked
+@_digest_record
 class ServerSecrets(NamedTuple):
     """Per-server provisioning: the two derived keys shared with one server."""
 
@@ -75,13 +85,8 @@ class ServerSecrets(NamedTuple):
     k_sid_y: bytes  # h(sid || y)
     k_x_y: bytes    # h(x || y)
 
-    def _checked(self):
-        if not self.sid:
-            raise ValueError("sid must be non-empty")
-        return _require_digests(self, 1)
 
-
-@checked
+@_digest_record
 class SmartCard(NamedTuple):
     """Values stored on an issued card, plus the holder's random b."""
 
@@ -90,10 +95,9 @@ class SmartCard(NamedTuple):
     e_i: bytes
     h_y: bytes
     b: bytes
-    _checked = _require_digests
 
 
-@checked
+@_digest_record
 class M1(NamedTuple):
     """Login request from the card to the service server."""
 
@@ -101,10 +105,9 @@ class M1(NamedTuple):
     g_i: bytes
     p_ij: bytes
     cid_i: bytes
-    _checked = _require_digests
 
 
-@checked
+@_digest_record
 class M2(NamedTuple):
     """Forwarded login plus the server's own proof, sent to the control server."""
 
@@ -113,13 +116,8 @@ class M2(NamedTuple):
     k_i: bytes
     m_i: bytes
 
-    def _checked(self):
-        if not self.sid:
-            raise ValueError("sid must be non-empty")
-        return _require_digests(self, 2)
 
-
-@checked
+@_digest_record
 class M3(NamedTuple):
     """Control server's response to the service server."""
 
@@ -127,16 +125,14 @@ class M3(NamedTuple):
     r_i: bytes
     v_i: bytes
     t_i: bytes
-    _checked = _require_digests
 
 
-@checked
+@_digest_record
 class M4(NamedTuple):
     """Final confirmation forwarded from the server to the card."""
 
     v_i: bytes
     t_i: bytes
-    _checked = _require_digests
 
 
 class CardSession(NamedTuple):

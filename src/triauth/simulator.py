@@ -14,7 +14,9 @@ final result record.
 """
 
 import json
+from json.decoder import JSONDecodeError
 from json.encoder import encode_basestring_ascii
+from itertools import product
 from operator import attrgetter
 from typing import NamedTuple, get_args, get_origin
 
@@ -32,7 +34,6 @@ from .actors import (
     UserAuthFailed,
     card_login,
     card_verify,
-    checked,
     cs_authenticate,
     register_server,
     register_user,
@@ -137,6 +138,17 @@ def _utf8_ok(value: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def checked(cls):
+    """Pass every record cls builds through cls._checked, which returns the record to keep.
+
+    NamedTuple's _make, which _replace calls, skips __new__, so both are wrapped.
+    """
+    new, make = cls.__new__, cls._make.__func__
+    cls.__new__ = staticmethod(lambda klass, *args, **kwargs: new(klass, *args, **kwargs)._checked())
+    cls._make = classmethod(lambda klass, iterable: make(klass, iterable)._checked())
+    return cls
 
 
 @checked
@@ -293,6 +305,7 @@ class ScenarioResult(NamedTuple):
 # No record or header contains itself, so the encoder skips the cycle check it makes per container.
 _JSON_OUT = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 _JSON_IN = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"
 
 # Python source for the JSON text _JSON_OUT writes for a value {} of each declared field
 # type, a bytes field as a lowercase hex string; any other class, such as dict, goes through _JSON_OUT.
@@ -338,13 +351,66 @@ def _compile_line(spec: list, tag: str | None, omit_none: bool):
     return eval(f"lambda r: {template!r} % ({', '.join(values)},)", _LINE_GLOBALS)
 
 
+def _compile_decode(codec, spec: list):
+    """The function that builds codec's record from a JSON object d, or raises through _reject.
+
+    When d holds each required key and no unknown one, it builds the record and returns it if each
+    field holds exactly its declared type.  A JSON object that is its class's keyword arguments, the
+    config's, is passed to the class, which normalizes and validates itself; any other record is built
+    as a bare tuple of d's values, a bytes field hex-decoded.  Like namedtuple's __new__, it is one eval
+    of a generated lambda.
+    """
+    defaults = codec.cls._field_defaults
+    keys = {key: name in defaults for name, key, _ in spec}  # key -> whether it may be absent
+    if codec.tag is not None:
+        keys["record"] = False
+    values = []
+    for pos, (name, key, types) in enumerate(spec):
+        value = f"d.get({key!r}, {defaults[name]!r})" if name in defaults else f"d[{key!r}]"
+        if bytes in types:
+            value = f"(None if (v{pos} := {value}) is None else _hex(v{pos}))" if type(None) in types else f"_hex({value})"
+        values.append(value)
+    build = f"_new(_C, ({', '.join(values)},))"
+    if codec.tag is None and not codec._renamed and not codec._hex:
+        build = "_C(**d)"
+    scope = {
+        "_C": codec.cls, "_new": tuple.__new__, "_hex": bytes.fromhex, "_reject": _reject, "_codec": codec,
+        "_K": frozenset(keys), "_R": frozenset(key for key, optional in keys.items() if not optional),
+        "_T": frozenset(product(*(types for _, _, types in spec))),  # each allowed tuple of field types
+    }
+    keyset = "_R <= d.keys() <= _K" if any(keys.values()) else "d.keys() == _K"
+    return eval(f"lambda d: o if {keyset} and tuple(map(type, o := {build})) in _T else _reject(_codec, d)", scope)
+
+
+def _reject(codec, record: dict):
+    """Raise the error decoding record gives, the first of: a renamed field under its own name, a bad hex
+    string, an unknown or missing key (in the class's own words) or a value the class rejects, then a
+    field of another type."""
+    kwargs = dict(record)
+    if codec.tag is not None:
+        del kwargs["record"]
+    for name, key in codec._renamed:
+        if name in kwargs:
+            raise TypeError(f"unexpected key {name!r}")
+        if key in kwargs:
+            kwargs[name] = kwargs.pop(key)
+    for name, _ in codec._hex:
+        if kwargs.get(name) is not None:
+            kwargs[name] = bytes.fromhex(kwargs[name])
+    obj = codec.cls(**kwargs)
+    name, types, value = next((name, types, value) for (name, types), value in zip(codec._types, obj)
+                              if type(value) not in types)
+    raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {type(value).__name__}")
+
+
 class _Codec:
     """Converts one record class to and from its JSON object.
 
     Bytes fields travel as lowercase hex, keys may be renamed, and a codec
     with omit_none leaves None fields out.  Decoding rejects a value whose
     class is not the field's declared type, so every decoded object can be
-    written again by line(), which is compiled once from the field spec.
+    written again by line().  Both line() and decode() are compiled once
+    from the field spec.
     """
 
     def __init__(self, cls, tag: str | None = None, rename: dict | None = None, omit_none: bool = False):
@@ -358,6 +424,7 @@ class _Codec:
         self._hex = tuple((name, key) for name, key, types in spec if bytes in types)
         self._types = tuple((name, types) for name, _, types in spec)
         self.line = _compile_line(spec, tag, omit_none)
+        self.decode = _compile_decode(self, spec)
 
     def encode(self, obj) -> dict:
         record = dict(zip(self._keys, obj))
@@ -369,26 +436,6 @@ class _Codec:
         if self.tag is not None:
             record["record"] = self.tag
         return record
-
-    def decode(self, record: dict):
-        """Build the record; absent keys take the field default, unknown keys raise TypeError."""
-        kwargs = dict(record)
-        if self.tag is not None:
-            del kwargs["record"]
-        for name, key in self._renamed:
-            if name in kwargs:
-                raise TypeError(f"unexpected key {name!r}")
-            if key in kwargs:
-                kwargs[name] = kwargs.pop(key)
-        for name, _ in self._hex:
-            if kwargs.get(name) is not None:
-                kwargs[name] = bytes.fromhex(kwargs[name])
-        obj = self.cls(**kwargs)
-        for (name, types), value in zip(self._types, obj):
-            if type(value) not in types:
-                expected = " or ".join(t.__name__ for t in types)
-                raise TypeError(f"{name} must be {expected}, not {type(value).__name__}")
-        return obj
 
 
 _CODECS = {
@@ -407,8 +454,15 @@ _RANK = {tag: rank for rank, tag in enumerate(_BY_TAG)}  # the order in which to
 
 
 def _loads(line: str, lineno: int) -> dict:
+    """The JSON value on one line, read by the C scanner; error positions count from the line's start."""
+    text = line.rstrip(_JSON_SPACE)
     try:
-        record = _JSON_IN.decode(line)
+        try:
+            record, end = _JSON_IN.scan_once(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+        except StopIteration as exc:
+            raise JSONDecodeError("Expecting value", text, exc.value) from None
+        if end != len(text):
+            raise JSONDecodeError("Extra data", text, len(text) - len(text[end:].lstrip(_JSON_SPACE)))
     except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
         raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
     if not isinstance(record, dict):
@@ -424,15 +478,16 @@ _HEADER_LINE = "{%s}" % ",".join(f"{encode_basestring_ascii(key)}:{value}" for k
     "config": "%s", "record": '"header"', "scenario": "%s", "seed": "%d"}.items()))
 
 
-def _decode_header(line: str, lineno: int = 1) -> ScenarioConfig:
-    """The run a transcript's header line names; raises ConfigError or TranscriptFormatError.
+def _decode_header(text: str) -> ScenarioConfig:
+    """The run a transcript's header, its first line, names; raises ConfigError or TranscriptFormatError.
 
     Every header field must be exactly what a fresh run of that config
     writes, so a damaged header is reported, never re-run as another scenario.
     """
-    if not line.strip():
+    line = text.partition("\n")[0]
+    if not line.strip(_JSON_SPACE):
         raise TranscriptFormatError("empty transcript")
-    header = _loads(line, lineno)
+    header = _loads(line, 1)
     if header.get("record") != "header":
         raise TranscriptFormatError("first record must be the header")
     if "config" not in header:
@@ -467,15 +522,17 @@ class Transcript(NamedTuple):
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        r"""Decode a transcript with its records in to_jsonl's order.  Only \n ends a line, so a raw U+2028
-        stays inside its string; a CRLF copy decodes like the original, because \r is JSON whitespace."""
-        lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+        r"""Decode a transcript with its records in to_jsonl's order, the header on line 1.  Only \n ends a
+        line, so a raw U+2028 stays inside its string; a line of JSON whitespace is skipped, and a CRLF copy
+        decodes like the original, because \r is JSON whitespace."""
         found = {tag: [] for tag in _BY_TAG}
         last = None
-        lineno, line = lines[0] if lines else (1, "")
+        lineno = 1
         try:
-            config = _decode_header(line, lineno)
-            for lineno, line in lines[1:]:
+            config = _decode_header(text)
+            for lineno, line in enumerate(text.split("\n")[1:], 2):
+                if not line.strip(_JSON_SPACE):
+                    continue
                 record = _loads(line, lineno)
                 tag = record.get("record")
                 if tag not in _BY_TAG:
@@ -788,9 +845,9 @@ def verify_transcript(text: str) -> tuple[int, str]:
     value deviates, (2, ...) when the transcript cannot be parsed.
     """
     try:
-        # The header is the first line.  A raw \r cannot sit inside a JSON string, so it
-        # ends the header too, and a CR or CRLF copy is re-run and found inconsistent.
-        cfg = _decode_header(text.partition("\n")[0].partition("\r")[0])
+        # A raw \r cannot sit inside a JSON string, so it ends the header too,
+        # and a CR or CRLF copy is re-run and found inconsistent.
+        cfg = _decode_header(text.partition("\r")[0])
     except (TranscriptFormatError, ConfigError) as exc:
         return 2, f"malformed transcript: {exc}"
     regenerated = run_scenario(cfg).to_jsonl()

@@ -1,6 +1,7 @@
 """Scenario runner tests: determinism, transcripts, adversary hooks."""
 
 import json
+import re
 import typing
 
 import pytest
@@ -551,10 +552,27 @@ class TestVerifyTranscript:
     ])
     def test_record_errors_count_blank_lines(self, old, new, message):
         lines = run_scenario(config("honest", seed=32)).to_jsonl().replace(old, new, 1).split("\n")
-        edited = "\n".join(["", lines[0], "", " ", *lines[1:]])
+        edited = "\n".join([lines[0], "", " \t\r", *lines[1:]])
         lineno = edited[:edited.index(new)].count("\n") + 1
         with pytest.raises(TranscriptFormatError, match=f"^line {lineno}: {message}$"):
             Transcript.from_jsonl(edited)
+
+    @pytest.mark.parametrize("before, message", [
+        ("\n", "empty transcript"),
+        (" \t\r\n", "empty transcript"),
+        ("\x0c\n", "line 1 is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["blank line", "JSON whitespace", "form feed"])
+    def test_header_is_line_1(self, before, message):
+        # verify reads line 1 as the header, so from_jsonl must too
+        text = before + run_scenario(config("honest", seed=3)).to_jsonl()
+        assert verify_transcript(text) == (2, f"malformed transcript: {message}")
+        with pytest.raises(TranscriptFormatError, match=f"^{re.escape(message)}$"):
+            Transcript.from_jsonl(text)
+
+    def test_only_json_whitespace_makes_a_line_blank(self):
+        header, rest = run_scenario(config("honest", seed=3)).to_jsonl().split("\n", 1)
+        with pytest.raises(TranscriptFormatError, match="^line 2 is not JSON: Expecting value"):
+            Transcript.from_jsonl(f"{header}\n\x0c\n{rest}")
 
 
 @st.composite
