@@ -31,28 +31,32 @@ class CSAuthFailed(ProtocolError):
     """The control server's response failed verification downstream."""
 
 
-def _reject_fields(fields: tuple):
-    """Raise for the first (name, value) a digest record cannot hold: an empty sid, or a digest of another length."""
-    for name, value in fields:
-        if name == "sid":
-            if not value:
-                raise ValueError("sid must be non-empty")
-        elif len(value) != DIGEST_LEN:
-            raise ValueError(f"{name} must be {DIGEST_LEN} bytes, got {len(value)}")
+def _digests(cls) -> list[str]:
+    """The fields of a digest record that must each hold a digest: every bytes field but sid."""
+    return [name for name, field_type in cls.__annotations__.items() if field_type is bytes and name != "sid"]
+
+
+def _reject_fields(cls, values: tuple):
+    """Raise for the first field a digest record cannot hold: an empty sid, then a digest of another length."""
+    fields = dict(zip(cls._fields, values))
+    if not fields.get("sid", True):
+        raise ValueError("sid must be non-empty")
+    for name in _digests(cls):
+        if len(fields[name]) != DIGEST_LEN:
+            raise ValueError(f"{name} must be {DIGEST_LEN} bytes, got {len(fields[name])}")
 
 
 def _digest_record(cls):
     """Give cls a __new__ that takes its fields by position or keyword and checks them as it builds the record.
 
-    A sid must be non-empty and every other bytes field a digest, in field order.  Like namedtuple's own
-    __new__, the new one is one eval of a generated lambda.  NamedTuple's _make, which _replace calls,
-    skips __new__, so it builds through the new one.
+    A sid must be non-empty and every other bytes field a digest.  Like namedtuple's own __new__, the new
+    one is one eval of a generated lambda; it builds the values' tuple first, so both branches use it.
+    NamedTuple's _make, which _replace calls, skips __new__, so it builds through the new one.
     """
-    checked = [name for name, field_type in cls.__annotations__.items() if name == "sid" or field_type is bytes]
-    tests = " and ".join(name if name == "sid" else f"{DIGEST_LEN} == len({name})" for name in checked)
     fields = ", ".join(cls._fields)
-    named = ", ".join(f"({name!r}, {name})" for name in checked)
-    new = eval(f"lambda _cls, {fields}: _new(_cls, ({fields},)) if {tests} else _reject(({named},))",
+    tests = ["sid"] if "sid" in cls._fields else []
+    tests.append(" == ".join([str(DIGEST_LEN), *(f"len({name})" for name in _digests(cls))]))
+    new = eval(f"lambda _cls, {fields}: _new(_cls, t) if (t := ({fields},)) and {' and '.join(tests)} else _reject(_cls, t)",
                {"_new": tuple.__new__, "_reject": _reject_fields})
     new.__name__, new.__qualname__ = "__new__", f"{cls.__name__}.__new__"
     make = cls._make.__func__

@@ -351,32 +351,32 @@ def _compile_line(spec: list, tag: str | None, omit_none: bool):
     return eval(f"lambda r: {template!r} % ({', '.join(values)},)", _LINE_GLOBALS)
 
 
-def _compile_decode(codec, spec: list):
+def _compile_decode(codec):
     """The function that builds codec's record from a JSON object d, or raises through _reject.
 
     When d holds each required key and no unknown one, it builds the record and returns it if each
     field holds exactly its declared type.  A JSON object that is its class's keyword arguments, the
-    config's, is passed to the class, which normalizes and validates itself; any other record is built
-    as a bare tuple of d's values, a bytes field hex-decoded.  Like namedtuple's __new__, it is one eval
+    config's, goes to the class, which normalizes and validates itself; any other record is built as
+    a bare tuple of d's values, a bytes field hex-decoded.  Like namedtuple's __new__, it is one eval
     of a generated lambda.
     """
     defaults = codec.cls._field_defaults
-    keys = {key: name in defaults for name, key, _ in spec}  # key -> whether it may be absent
+    keys = {key: name in defaults for name, key, _ in codec._spec}  # key -> whether it may be absent
     if codec.tag is not None:
         keys["record"] = False
     values = []
-    for pos, (name, key, types) in enumerate(spec):
+    for pos, (name, key, types) in enumerate(codec._spec):
         value = f"d.get({key!r}, {defaults[name]!r})" if name in defaults else f"d[{key!r}]"
-        if bytes in types:
-            value = f"(None if (v{pos} := {value}) is None else _hex(v{pos}))" if type(None) in types else f"_hex({value})"
+        if bytes in types:  # a None is left for the type check to report
+            value = f"(None if (v{pos} := {value}) is None else _hex(v{pos}))"
         values.append(value)
     build = f"_new(_C, ({', '.join(values)},))"
-    if codec.tag is None and not codec._renamed and not codec._hex:
+    if codec.tag is None and all(key == name and bytes not in types for name, key, types in codec._spec):
         build = "_C(**d)"
     scope = {
         "_C": codec.cls, "_new": tuple.__new__, "_hex": bytes.fromhex, "_reject": _reject, "_codec": codec,
         "_K": frozenset(keys), "_R": frozenset(key for key, optional in keys.items() if not optional),
-        "_T": frozenset(product(*(types for _, _, types in spec))),  # each allowed tuple of field types
+        "_T": frozenset(product(*(types for _, _, types in codec._spec))),  # each allowed tuple of field types
     }
     keyset = "_R <= d.keys() <= _K" if any(keys.values()) else "d.keys() == _K"
     return eval(f"lambda d: o if {keyset} and tuple(map(type, o := {build})) in _T else _reject(_codec, d)", scope)
@@ -389,16 +389,16 @@ def _reject(codec, record: dict):
     kwargs = dict(record)
     if codec.tag is not None:
         del kwargs["record"]
-    for name, key in codec._renamed:
-        if name in kwargs:
-            raise TypeError(f"unexpected key {name!r}")
-        if key in kwargs:
-            kwargs[name] = kwargs.pop(key)
-    for name, _ in codec._hex:
-        if kwargs.get(name) is not None:
+    for name, key, types in codec._spec:
+        if key != name:
+            if name in kwargs:
+                raise TypeError(f"unexpected key {name!r}")
+            if key in kwargs:
+                kwargs[name] = kwargs.pop(key)
+        if bytes in types and kwargs.get(name) is not None:
             kwargs[name] = bytes.fromhex(kwargs[name])
     obj = codec.cls(**kwargs)
-    name, types, value = next((name, types, value) for (name, types), value in zip(codec._types, obj)
+    name, types, value = next((name, types, value) for (name, _, types), value in zip(codec._spec, obj)
                               if type(value) not in types)
     raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {type(value).__name__}")
 
@@ -409,8 +409,9 @@ class _Codec:
     Bytes fields travel as lowercase hex, keys may be renamed, and a codec
     with omit_none leaves None fields out.  Decoding rejects a value whose
     class is not the field's declared type, so every decoded object can be
-    written again by line().  Both line() and decode() are compiled once
-    from the field spec.
+    written again by line().  Both are compiled from the field spec: line()
+    when the codec is built, decode() when it is first called, so a process
+    that reads no transcript compiles no reader.
     """
 
     def __init__(self, cls, tag: str | None = None, rename: dict | None = None, omit_none: bool = False):
@@ -418,24 +419,25 @@ class _Codec:
         self.cls = cls
         self.tag = tag
         self._omit_none = omit_none
-        spec = [(name, rename.get(name, name), _field_types(t)) for name, t in cls.__annotations__.items()]
-        self._keys = tuple(key for _, key, _ in spec)
-        self._renamed = tuple((name, key) for name, key, _ in spec if key != name)
-        self._hex = tuple((name, key) for name, key, types in spec if bytes in types)
-        self._types = tuple((name, types) for name, _, types in spec)
-        self.line = _compile_line(spec, tag, omit_none)
-        self.decode = _compile_decode(self, spec)
+        # (field name, JSON key, classes its value may have) of each field, in order
+        self._spec = [(name, rename.get(name, name), _field_types(t)) for name, t in cls.__annotations__.items()]
+        self.line = _compile_line(self._spec, tag, omit_none)
 
     def encode(self, obj) -> dict:
-        record = dict(zip(self._keys, obj))
-        for _, key in self._hex:
-            if record[key] is not None:
+        record = {key: value for (_, key, _), value in zip(self._spec, obj)}
+        for _, key, types in self._spec:
+            if bytes in types and record[key] is not None:
                 record[key] = record[key].hex()
         if self._omit_none:
             record = {key: value for key, value in record.items() if value is not None}
         if self.tag is not None:
             record["record"] = self.tag
         return record
+
+    def decode(self, record: dict):
+        """Build the record from its JSON object.  The first call compiles the reader, which then replaces this method."""
+        self.decode = _compile_decode(self)
+        return self.decode(record)
 
 
 _CODECS = {
@@ -455,14 +457,13 @@ _RANK = {tag: rank for rank, tag in enumerate(_BY_TAG)}  # the order in which to
 
 def _loads(line: str, lineno: int) -> dict:
     """The JSON value on one line, read by the C scanner; error positions count from the line's start."""
-    text = line.rstrip(_JSON_SPACE)
     try:
         try:
-            record, end = _JSON_IN.scan_once(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+            record, end = _JSON_IN.scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
         except StopIteration as exc:
-            raise JSONDecodeError("Expecting value", text, exc.value) from None
-        if end != len(text):
-            raise JSONDecodeError("Extra data", text, len(text) - len(text[end:].lstrip(_JSON_SPACE)))
+            raise JSONDecodeError("Expecting value", line, exc.value) from None
+        if end != len(line) and line[end:].strip(_JSON_SPACE):
+            raise JSONDecodeError("Extra data", line, len(line) - len(line[end:].lstrip(_JSON_SPACE)))
     except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
         raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
     if not isinstance(record, dict):

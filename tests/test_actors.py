@@ -287,12 +287,27 @@ CHECKED_RECORDS = {
 }
 
 
+# how a test builds a checked record from an existing one with some fields changed
+BUILDS = {
+    "_replace": lambda record, changes: record._replace(**changes),
+    "positional": lambda record, changes: type(record)(*(record._asdict() | changes).values()),
+    "keyword": lambda record, changes: type(record)(**(record._asdict() | changes)),
+}
+
+
+def build_cases(cases):
+    """Each case once per build; a _replace case keeps the id it had before the other builds were added."""
+    return [pytest.param(*case, build, id="-".join(case if build == "_replace" else (*case, build)))
+            for build in BUILDS for case in cases]
+
+
 class TestRecordChecks:
-    @pytest.mark.parametrize("attr, field", [(a, f) for a, fields in CHECKED_RECORDS.items() for f in fields])
-    def test_replace_with_a_short_digest_raises(self, attr, field):
+    @pytest.mark.parametrize("attr, field, build", build_cases(
+        [(a, f) for a, fields in CHECKED_RECORDS.items() for f in fields]))
+    def test_replace_with_a_short_digest_raises(self, attr, field, build):
         record = getattr(honest_run(seed=20), attr)
         with pytest.raises(ValueError, match=f"^{field} must be 32 bytes, got 31$"):
-            record._replace(**{field: getattr(record, field)[:31]})
+            BUILDS[build](record, {field: getattr(record, field)[:31]})
 
     @pytest.mark.parametrize("attr", CHECKED_RECORDS)
     def test_make_with_a_short_digest_raises(self, attr):
@@ -301,10 +316,13 @@ class TestRecordChecks:
         with pytest.raises(ValueError, match="must be 32 bytes, got 31"):
             type(record)._make((*record[:-1], record[-1][:31]))
 
-    @pytest.mark.parametrize("attr", ["secrets", "m2"])
-    def test_replace_with_an_empty_sid_raises(self, attr):
-        with pytest.raises(ValueError, match="sid must be non-empty"):
-            getattr(honest_run(seed=20), attr)._replace(sid=b"")
+    @pytest.mark.parametrize("attr, build", build_cases([("secrets",), ("m2",)]))
+    def test_replace_with_an_empty_sid_raises(self, attr, build):
+        # sid is checked first, so a short digest beside it is not the error reported
+        record = getattr(honest_run(seed=20), attr)
+        last = record._fields[-1]
+        with pytest.raises(ValueError, match="^sid must be non-empty$"):
+            BUILDS[build](record, {"sid": b"", last: getattr(record, last)[:31]})
 
     @pytest.mark.parametrize("attr", ["card_session", "server_session", "cs_session", "server_result", *CHECKED_RECORDS])
     def test_setting_a_field_raises(self, attr):

@@ -289,6 +289,82 @@ class TestLinePlanProperty:
         assert codec.line(record) == encoder.encode(codec.encode(record))
 
 
+RENAMED = {"session_key": "sk"}  # record field -> its JSON key, where they differ
+
+
+def field_classes(field_type) -> tuple:
+    members = typing.get_args(field_type) if type(None) in typing.get_args(field_type) else (field_type,)
+    return tuple(typing.get_origin(member) or member for member in members)
+
+
+def reference_decode(codec, data: dict):
+    """Build codec's record from its JSON object field by field, from the record annotations alone."""
+    kwargs = dict(data)
+    if codec.tag is not None:
+        del kwargs["record"]
+    for name, key in RENAMED.items():
+        if name in codec.cls._fields:
+            if name in kwargs:
+                raise TypeError(f"unexpected key {name!r}")
+            if key in kwargs:
+                kwargs[name] = kwargs.pop(key)
+    classes = {name: field_classes(t) for name, t in codec.cls.__annotations__.items()}
+    for name, allowed in classes.items():
+        if bytes in allowed and kwargs.get(name) is not None:
+            kwargs[name] = bytes.fromhex(kwargs[name])
+    record = codec.cls(**kwargs)
+    for name, value in zip(record._fields, record):
+        if type(value) not in classes[name]:
+            expected = " or ".join(c.__name__ for c in classes[name])
+            raise TypeError(f"{name} must be {expected}, not {type(value).__name__}")
+    return record
+
+
+json_values = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | json_text
+    | st.sampled_from(["00ff", "0", "zz", "honest", "m3.t_i"])
+    | st.lists(st.lists(json_text, max_size=2), max_size=2) | st.dictionaries(json_text, json_text, max_size=2)
+)
+
+
+@st.composite
+def codec_objects(draw):
+    """A codec and the JSON object of one of its records, as written or with one key or value edited."""
+    codec, record = draw(codec_records())
+    data = json.loads(codec.line(record))
+    edit = draw(st.sampled_from(["none", "drop", "add", "rename", "retype", "hex"]))
+    hex_keys = sorted({"payload", "sk"} & data.keys())
+    if edit == "hex" and hex_keys:
+        data[draw(st.sampled_from(hex_keys))] = draw(st.sampled_from(["zz", "0", "0g", "AB", "00 ff", 7, None]))
+    elif edit == "drop" and data:
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif edit == "add":
+        data[draw(st.sampled_from(["bogus", "session_key", "sk", "record", "step"]) | json_text)] = draw(json_values)
+    elif edit == "rename" and data:
+        old = "sk" if "sk" in data else draw(st.sampled_from(sorted(data)))
+        data["session_key" if old == "sk" else draw(json_text)] = data.pop(old)
+    elif edit == "retype" and data:
+        data[draw(st.sampled_from(sorted(data)))] = draw(json_values)
+    return codec, data
+
+
+def decoded(decode, codec, data):
+    """The record decode builds, with its field classes, or the class and text of the error it raises."""
+    try:
+        record = decode(codec, data)
+    except Exception as exc:  # any error must be the reference's, word for word
+        return type(exc), str(exc)
+    return record, tuple(map(type, record))
+
+
+class TestReaderProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(codec_objects())
+    def test_compiled_reader_matches_the_reference(self, codec_object):
+        codec, data = codec_object
+        assert decoded(lambda c, d: c.decode(d), codec, data) == decoded(reference_decode, codec, data)
+
+
 class TestHeaderLineProperty:
     @settings(max_examples=100, deadline=None)
     @given(scenario_configs())
