@@ -358,7 +358,7 @@ def decoded(decode, codec, data):
 
 
 class TestReaderProperty:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(codec_objects())
     def test_compiled_reader_matches_the_reference(self, codec_object):
         codec, data = codec_object
