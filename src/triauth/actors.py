@@ -54,9 +54,10 @@ def _digest_record(cls):
     NamedTuple's _make, which _replace calls, skips __new__, so it builds through the new one.
     """
     fields = ", ".join(cls._fields)
-    tests = ["sid"] if "sid" in cls._fields else []
-    tests.append(" == ".join([str(DIGEST_LEN), *(f"len({name})" for name in _digests(cls))]))
-    new = eval(f"lambda _cls, {fields}: _new(_cls, t) if (t := ({fields},)) and {' and '.join(tests)} else _reject(_cls, t)",
+    test = " == ".join([str(DIGEST_LEN), *(f"len({name})" for name in _digests(cls))])
+    if "sid" in cls._fields:
+        test = f"sid and {test}"
+    new = eval(f"lambda _cls, {fields}: _new(_cls, t) if (t := ({fields},)) and {test} else _reject(_cls, t)",
                {"_new": tuple.__new__, "_reject": _reject_fields})
     new.__name__, new.__qualname__ = "__new__", f"{cls.__name__}.__new__"
     make = cls._make.__func__

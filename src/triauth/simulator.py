@@ -435,7 +435,7 @@ class _Codec:
         return record
 
     def decode(self, record: dict):
-        """Build the record from its JSON object.  The first call compiles the reader, which then replaces this method."""
+        """Build the record from its JSON object; the first call compiles the reader, which replaces this method."""
         self.decode = _compile_decode(self)
         return self.decode(record)
 
@@ -456,7 +456,8 @@ _RANK = {tag: rank for rank, tag in enumerate(_BY_TAG)}  # the order in which to
 
 
 def _loads(line: str, lineno: int) -> dict:
-    """The JSON value on one line, read by the C scanner; error positions count from the line's start."""
+    """The JSON object on one line, read by the C scanner past any JSON whitespace; an error's position counts
+    from the start of the line, as JSONDecoder.decode gives it."""
     try:
         try:
             record, end = _JSON_IN.scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
