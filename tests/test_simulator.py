@@ -5,7 +5,7 @@ import re
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triauth import (
@@ -336,14 +336,14 @@ def codec_objects(draw):
     hex_keys = sorted({"payload", "sk"} & data.keys())
     if edit == "hex" and hex_keys:
         data[draw(st.sampled_from(hex_keys))] = draw(st.sampled_from(["zz", "0", "0g", "AB", "00 ff", 7, None]))
-    elif edit == "drop" and data:
+    elif edit == "drop":
         del data[draw(st.sampled_from(sorted(data)))]
     elif edit == "add":
         data[draw(st.sampled_from(["bogus", "session_key", "sk", "record", "step"]) | json_text)] = draw(json_values)
-    elif edit == "rename" and data:
+    elif edit == "rename":
         old = "sk" if "sk" in data else draw(st.sampled_from(sorted(data)))
         data["session_key" if old == "sk" else draw(json_text)] = data.pop(old)
-    elif edit == "retype" and data:
+    elif edit == "retype":
         data[draw(st.sampled_from(sorted(data)))] = draw(json_values)
     return codec, data
 
@@ -357,9 +357,17 @@ def decoded(decode, codec, data):
     return record, tuple(map(type, record))
 
 
+OUTCOME = {"record": "outcome", "session": 1, "party": "cs", "sk": "00ff"}
+EVENT = {"record": "event", "step": 0, "session": 0, "sender": "user", "receiver": "cs", "kind": "M1",
+         "channel": "secure", "action": "none", "payload": "00ff"}
+
+
 class TestReaderProperty:
     @settings(max_examples=200, deadline=None)
     @given(codec_objects())
+    @example((simulator._BY_TAG["outcome"], OUTCOME | {"bogus": 1}))
+    @example((simulator._BY_TAG["outcome"], {"session_key" if k == "sk" else k: v for k, v in OUTCOME.items()}))
+    @example((simulator._BY_TAG["event"], EVENT | {"payload": None}))
     def test_compiled_reader_matches_the_reference(self, codec_object):
         codec, data = codec_object
         assert decoded(lambda c, d: c.decode(d), codec, data) == decoded(reference_decode, codec, data)
@@ -645,10 +653,17 @@ class TestVerifyTranscript:
         with pytest.raises(TranscriptFormatError, match=f"^{re.escape(message)}$"):
             Transcript.from_jsonl(text)
 
-    def test_only_json_whitespace_makes_a_line_blank(self):
+    @pytest.mark.parametrize("line", ["\x0c", ' {"record":"check"} x', "\t tru", '{"a":1}}', " [1]"],
+                             ids=["form feed", "extra data", "bad literal", "extra brace", "array"])
+    def test_a_line_that_is_not_a_json_object(self, line):
+        # only JSON whitespace makes a line blank, and an error's position is the one the JSON decoder gives
+        try:
+            expected = "is not a JSON object" if type(json.loads(line)) is not dict else None
+        except json.JSONDecodeError as exc:
+            expected = f"is not JSON: {exc}"
         header, rest = run_scenario(config("honest", seed=3)).to_jsonl().split("\n", 1)
-        with pytest.raises(TranscriptFormatError, match="^line 2 is not JSON: Expecting value"):
-            Transcript.from_jsonl(f"{header}\n\x0c\n{rest}")
+        with pytest.raises(TranscriptFormatError, match=f"^line 2 {re.escape(expected)}$"):
+            Transcript.from_jsonl(f"{header}\n{line}\n{rest}")
 
 
 @st.composite
