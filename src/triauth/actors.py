@@ -50,14 +50,15 @@ def _digest_record(cls):
     """Give cls a __new__ that takes its fields by position or keyword and checks them as it builds the record.
 
     A sid must be non-empty and every other bytes field a digest.  Like namedtuple's own __new__, the new
-    one is one eval of a generated lambda; it builds the values' tuple first, so both branches use it.
+    one is one eval of a generated lambda; it builds the values' tuple first, so both branches use it, and
+    names it _t, which no field name can shadow.
     NamedTuple's _make, which _replace calls, skips __new__, so it builds through the new one.
     """
     fields = ", ".join(cls._fields)
     test = " == ".join([str(DIGEST_LEN), *(f"len({name})" for name in _digests(cls))])
     if "sid" in cls._fields:
         test = f"sid and {test}"
-    new = eval(f"lambda _cls, {fields}: _new(_cls, t) if (t := ({fields},)) and {test} else _reject(_cls, t)",
+    new = eval(f"lambda _cls, {fields}: _new(_cls, _t) if (_t := ({fields},)) and {test} else _reject(_cls, _t)",
                {"_new": tuple.__new__, "_reject": _reject_fields})
     new.__name__, new.__qualname__ = "__new__", f"{cls.__name__}.__new__"
     make = cls._make.__func__
