@@ -36,7 +36,6 @@ from .actors import (
     card_login,
     card_verify,
     cs_authenticate,
-    enroll_user,
     register_server,
     register_user,
     server_forward,

@@ -46,25 +46,29 @@ def _reject_fields(cls, values: tuple):
             raise ValueError(f"{name} must be {DIGEST_LEN} bytes, got {len(fields[name])}")
 
 
+def _build_through(cls, new):
+    """Make new cls's __new__, and build through it in _make, which _replace calls and which skips __new__."""
+    make = cls._make.__func__
+    cls.__new__ = staticmethod(new)
+    cls._make = classmethod(lambda klass, iterable: klass(*make(klass, iterable)))
+    return cls
+
+
 def _digest_record(cls):
     """Give cls a __new__ that takes its fields by position or keyword and checks them as it builds the record.
 
     A sid must be non-empty and every other bytes field a digest.  Like namedtuple's own __new__, the new
-    one is one eval of a generated lambda; it builds the values' tuple first, so both branches use it, and
-    names it _t, which no field name can shadow.
-    NamedTuple's _make, which _replace calls, skips __new__, so it builds through the new one.
+    one is one eval of a generated lambda, compiled under the file name <Class.__new__>; it builds the values'
+    tuple first, so both branches use it, and names it _t, which no field name can shadow.
     """
     fields = ", ".join(cls._fields)
     test = " == ".join([str(DIGEST_LEN), *(f"len({name})" for name in _digests(cls))])
     if "sid" in cls._fields:
         test = f"sid and {test}"
-    new = eval(f"lambda _cls, {fields}: _new(_cls, _t) if (_t := ({fields},)) and {test} else _reject(_cls, _t)",
-               {"_new": tuple.__new__, "_reject": _reject_fields})
+    source = f"lambda _cls, {fields}: _new(_cls, _t) if (_t := ({fields},)) and {test} else _reject(_cls, _t)"
+    new = eval(compile(source, f"<{cls.__name__}.__new__>", "eval"), {"_new": tuple.__new__, "_reject": _reject_fields})
     new.__name__, new.__qualname__ = "__new__", f"{cls.__name__}.__new__"
-    make = cls._make.__func__
-    cls.__new__ = staticmethod(new)
-    cls._make = classmethod(lambda klass, iterable: klass(*make(klass, iterable)))
-    return cls
+    return _build_through(cls, new)
 
 
 @_digest_record
@@ -202,14 +206,6 @@ def register_user(cs: ControlServer, user_id: bytes, a_i: bytes, b: bytes) -> Sm
         h_y=cs.h_y,
         b=b,
     )
-
-
-def enroll_user(cs: ControlServer, user_id: bytes, password: bytes, rng: BlockRng) -> SmartCard:
-    """Full registration ceremony: draw b, blind the password, obtain a card."""
-    if not password:
-        raise ValueError("password must be non-empty")
-    b = rng.next_block()
-    return register_user(cs, user_id, h(b, password), b)
 
 
 def card_login(

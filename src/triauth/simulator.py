@@ -32,6 +32,7 @@ from .actors import (
     ServerAuthFailed,
     SmartCard,
     UserAuthFailed,
+    _build_through,
     card_login,
     card_verify,
     cs_authenticate,
@@ -141,14 +142,9 @@ def _utf8_ok(value: str) -> bool:
 
 
 def checked(cls):
-    """Pass every record cls builds through cls._checked, which returns the record to keep.
-
-    NamedTuple's _make, which _replace calls, skips __new__, so both are wrapped.
-    """
-    new, make = cls.__new__, cls._make.__func__
-    cls.__new__ = staticmethod(lambda klass, *args, **kwargs: new(klass, *args, **kwargs)._checked())
-    cls._make = classmethod(lambda klass, iterable: make(klass, iterable)._checked())
-    return cls
+    """Pass every record cls builds, also by _replace and _make, through cls._checked: it returns the record to keep."""
+    new = cls.__new__
+    return _build_through(cls, lambda klass, *args, **kwargs: new(klass, *args, **kwargs)._checked())
 
 
 @checked
@@ -218,9 +214,6 @@ class ScenarioConfig(NamedTuple):
                 raise ConfigError(f"{self.mutation_target} is not on a tapped link")
         elif self.mutation_target is not None:
             raise ConfigError("mutation_target is only valid for mutation scenarios")
-
-    def to_dict(self) -> dict:
-        return _CODECS[ScenarioConfig].encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -319,14 +312,15 @@ def _field_types(field_type) -> tuple:
     return tuple(get_origin(member) or member for member in members)
 
 
-def _compile_line(spec: list, tag: str | None, omit_none: bool):
-    """The function that writes a record r as the JSON text _JSON_OUT.encode(codec.encode(r)) gives.
+def _compile_line(codec, omit_none: bool):
+    """The function that writes a record r of codec's class as the JSON text of its sorted "key":value pairs.
 
-    It fills a template of the sorted "key":value pairs with each field's converter inlined; like
-    namedtuple's __new__, it is one eval of a generated lambda.  With omit_none, a None field's pair
-    is left out with the comma that joins it to the first pair always written.
+    It fills a template of those pairs with each field's converter inlined; like namedtuple's __new__, it
+    is one eval of a generated lambda, compiled under the file name <Class.line>.  With omit_none, a None
+    field's pair is left out with the comma that joins it to the first pair always written.
     """
-    fields = {key: (f"r[{pos}]", types) for pos, (_, key, types) in enumerate(spec)}
+    tag = codec.tag
+    fields = {key: (f"r[{pos}]", types) for pos, (_, key, types) in enumerate(codec._spec)}
     if tag is not None:
         fields["record"] = (None, (str,))
     keys = sorted(fields)
@@ -348,7 +342,8 @@ def _compile_line(spec: list, tag: str | None, omit_none: bool):
             values.append(f"('null' if {value} is None else {write})" if type(None) in types else write)
         parts.append("")
     template = "%s".join(part.replace("%", "%%") for part in parts) + "}"
-    return eval(f"lambda r: {template!r} % ({', '.join(values)},)", _LINE_GLOBALS)
+    source = f"lambda r: {template!r} % ({', '.join(values)},)"
+    return eval(compile(source, f"<{codec.cls.__name__}.line>", "eval"), _LINE_GLOBALS)
 
 
 def _compile_decode(codec):
@@ -358,7 +353,7 @@ def _compile_decode(codec):
     field holds exactly its declared type.  A JSON object that is its class's keyword arguments, the
     config's, goes to the class, which normalizes and validates itself; any other record is built as
     a bare tuple of d's values, a bytes field hex-decoded.  Like namedtuple's __new__, it is one eval
-    of a generated lambda.
+    of a generated lambda, compiled under the file name <Class.read>.
     """
     defaults = codec.cls._field_defaults
     keys = {key: name in defaults for name, key, _ in codec._spec}  # key -> whether it may be absent
@@ -379,7 +374,8 @@ def _compile_decode(codec):
         "_T": frozenset(product(*(types for _, _, types in codec._spec))),  # each allowed tuple of field types
     }
     keyset = "_R <= d.keys() <= _K" if any(keys.values()) else "d.keys() == _K"
-    return eval(f"lambda d: o if {keyset} and tuple(map(type, o := {build})) in _T else _reject(_codec, d)", scope)
+    source = f"lambda d: o if {keyset} and tuple(map(type, o := {build})) in _T else _reject(_codec, d)"
+    return eval(compile(source, f"<{codec.cls.__name__}.read>", "eval"), scope)
 
 
 def _reject(codec, record: dict):
@@ -404,7 +400,7 @@ def _reject(codec, record: dict):
 
 
 class _Codec:
-    """Converts one record class to and from its JSON object.
+    """Writes one record class as a transcript line and reads it back from its JSON object.
 
     Bytes fields travel as lowercase hex, keys may be renamed, and a codec
     with omit_none leaves None fields out.  Decoding rejects a value whose
@@ -418,21 +414,9 @@ class _Codec:
         rename = rename or {}
         self.cls = cls
         self.tag = tag
-        self._omit_none = omit_none
         # (field name, JSON key, classes its value may have) of each field, in order
         self._spec = [(name, rename.get(name, name), _field_types(t)) for name, t in cls.__annotations__.items()]
-        self.line = _compile_line(self._spec, tag, omit_none)
-
-    def encode(self, obj) -> dict:
-        record = {key: value for (_, key, _), value in zip(self._spec, obj)}
-        for _, key, types in self._spec:
-            if bytes in types and record[key] is not None:
-                record[key] = record[key].hex()
-        if self._omit_none:
-            record = {key: value for key, value in record.items() if value is not None}
-        if self.tag is not None:
-            record["record"] = self.tag
-        return record
+        self.line = _compile_line(self, omit_none)
 
     def decode(self, record: dict):
         """Build the record from its JSON object; the first call compiles the reader, which replaces this method."""

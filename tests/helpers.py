@@ -18,11 +18,13 @@ from triauth import (
     card_login,
     card_verify,
     cs_authenticate,
-    enroll_user,
     register_server,
+    register_user,
     server_forward,
     server_verify,
 )
+
+from oracle import ref_h
 
 
 @dataclass
@@ -39,6 +41,13 @@ class HonestRun:
     m4: M4
     server_result: ServerResult
     card_sk: bytes
+
+
+def enroll_user(cs: ControlServer, user_id: bytes, password: bytes, rng: BlockRng) -> SmartCard:
+    """Register a user as a scenario run does: draw b, blind the password as a_i = h(b || password)
+    with the oracle's hash, and have the control server issue the card."""
+    b = rng.next_block()
+    return register_user(cs, user_id, ref_h(b, password), b)
 
 
 def honest_run(

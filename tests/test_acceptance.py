@@ -22,7 +22,6 @@ from triauth import (
     card_verify,
     cs_authenticate,
     decode_message,
-    enroll_user,
     guess_credentials,
     run_scenario,
     server_forward,
@@ -30,7 +29,7 @@ from triauth import (
 )
 from triauth.cli import main
 
-from helpers import honest_run
+from helpers import enroll_user, honest_run
 from oracle import ref_concat, ref_h, ref_knows, ref_session
 
 

@@ -23,7 +23,6 @@ from triauth import (
     card_login,
     card_verify,
     cs_authenticate,
-    enroll_user,
     register_server,
     register_user,
     run_scenario,
@@ -32,7 +31,7 @@ from triauth import (
 )
 from triauth import actors, crypto
 
-from helpers import flip, honest_run
+from helpers import enroll_user, flip, honest_run
 from oracle import ref_h, ref_xor
 
 

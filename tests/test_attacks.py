@@ -20,7 +20,6 @@ from triauth import (
     card_login,
     card_verify,
     cs_authenticate,
-    enroll_user,
     guess_credentials,
     read_dictionary_file,
     register_server,
@@ -31,7 +30,7 @@ from triauth import (
 from triauth import crypto
 from triauth.attacks import GuessResult
 
-from helpers import flip, honest_run
+from helpers import enroll_user, flip, honest_run
 from oracle import ref_concat, ref_guess, ref_h, ref_knows, ref_xor
 
 

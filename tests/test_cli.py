@@ -246,6 +246,32 @@ class TestStartUp:
         )
         assert child.stdout == "[]\n"
 
+    def test_readers_are_compiled_on_first_use(self, tmp_path):
+        # run compiles no reader, verify only the config's, and from_jsonl those of the records it reads
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = """if True:
+            import contextlib, io, pathlib
+            from triauth import Transcript, cli, simulator
+            def compiled():
+                return sorted(codec.cls.__name__ for codec in simulator._CODECS.values() if "decode" in vars(codec))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run", "honest", "--out", "t.jsonl"]) == 0
+                ran = compiled()
+                assert cli.main(["verify", "t.jsonl"]) == 0
+                verified = compiled()
+            Transcript.from_jsonl(pathlib.Path("t.jsonl").read_text(encoding="utf-8"))
+            print(ran, verified, compiled(), sep="\\n")
+        """
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", code], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert child.stdout.splitlines() == [
+            "[]",
+            "['ScenarioConfig']",
+            "['ChannelEvent', 'CheckRecord', 'PartyOutcome', 'ScenarioConfig', 'ScenarioResult']",
+        ]
+
 
 class TestModuleExit:
     # `python -m triauth.cli` passes main()'s return value to sys.exit, so the
