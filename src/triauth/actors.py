@@ -32,8 +32,8 @@ class CSAuthFailed(ProtocolError):
 
 
 def _digests(cls) -> list[str]:
-    """The fields of a digest record that must each hold a digest: every bytes field but sid."""
-    return [name for name, field_type in cls.__annotations__.items() if field_type is bytes and name != "sid"]
+    """The fields of a digest record that must each hold a digest: every field but sid."""
+    return [name for name in cls._fields if name != "sid"]
 
 
 def _reject_fields(cls, values: tuple):
@@ -57,7 +57,7 @@ def _build_through(cls, new):
 def _digest_record(cls):
     """Give cls a __new__ that takes its fields by position or keyword and checks them as it builds the record.
 
-    A sid must be non-empty and every other bytes field a digest.  Like namedtuple's own __new__, the new
+    A sid must be non-empty and every other field a digest.  Like namedtuple's own __new__, the new
     one is one eval of a generated lambda, compiled under the file name <Class.__new__>; it builds the values'
     tuple first, so both branches use it, and names it _t, which no field name can shadow.
     """
@@ -119,9 +119,12 @@ class M1(NamedTuple):
 
 @_digest_record
 class M2(NamedTuple):
-    """Forwarded login plus the server's own proof, sent to the control server."""
+    """The forwarded M1's four fields, then the server's own proof, sent to the control server."""
 
-    m1: M1
+    f_i: bytes
+    g_i: bytes
+    p_ij: bytes
+    cid_i: bytes
     sid: bytes
     k_i: bytes
     m_i: bytes
@@ -173,11 +176,9 @@ class CsSession(NamedTuple):
 
 
 class ServerResult(NamedTuple):
-    """Server-side recovered values and the agreed session key."""
+    """The server's session key."""
 
     session_key: bytes
-    h_ab: bytes
-    nonce_xor: bytes
 
 
 def register_server(cs: ControlServer, sid: bytes) -> ServerSecrets:
@@ -229,7 +230,7 @@ def card_login(
 
 
 def server_forward(secrets: ServerSecrets, m1: M1, rng: BlockRng) -> tuple[M2, ServerSession]:
-    """Wrap a received M1 with the server's own masked nonce and proof.
+    """Forward a received M1's fields with the server's own masked nonce and proof.
 
     The server performs no check on M1; it cannot, since every M1 field is
     masked with values only the card and the control server know.
@@ -237,7 +238,7 @@ def server_forward(secrets: ServerSecrets, m1: M1, rng: BlockRng) -> tuple[M2, S
     n_i2 = rng.next_block()
     k_i = xor(secrets.k_sid_y, n_i2)
     m_i = h(secrets.k_x_y, n_i2)
-    return M2(m1=m1, sid=secrets.sid, k_i=k_i, m_i=m_i), ServerSession(n_i2=n_i2)
+    return M2(*m1, secrets.sid, k_i, m_i), ServerSession(n_i2=n_i2)
 
 
 def cs_authenticate(cs: ControlServer, m2: M2, rng: BlockRng) -> tuple[M3, CsSession]:
@@ -250,11 +251,10 @@ def cs_authenticate(cs: ControlServer, m2: M2, rng: BlockRng) -> tuple[M3, CsSes
     if h(h(cs.x, cs.y), n_i2) != m2.m_i:
         raise ServerAuthFailed("server proof mismatch")
     h_y = cs.h_y
-    m1 = m2.m1
-    n_i1 = xor(h_y, m1.f_i)
-    b_i = xor(xor(m1.p_ij, h(h_y, n_i1, m2.sid)), h(cs.y, cs.x))
-    a_i = xor(m1.cid_i, h(b_i, m1.f_i, n_i1))
-    if h(b_i, a_i, n_i1) != m1.g_i:
+    n_i1 = xor(h_y, m2.f_i)
+    b_i = xor(xor(m2.p_ij, h(h_y, n_i1, m2.sid)), h(cs.y, cs.x))
+    a_i = xor(m2.cid_i, h(b_i, m2.f_i, n_i1))
+    if h(b_i, a_i, n_i1) != m2.g_i:
         raise UserAuthFailed("login message inconsistent")
     n_i3 = rng.next_block()
     nonce_xor = xor(xor(n_i1, n_i2), n_i3)
@@ -284,8 +284,7 @@ def server_verify(secrets: ServerSecrets, session: ServerSession, m3: M3) -> tup
     h_ab = xor(m3.r_i, h(nonce_xor))
     if h(h_ab, h(nonce_xor)) != m3.v_i:
         raise CSAuthFailed("control server response rejected by server")
-    result = ServerResult(session_key=h(h_ab, nonce_xor), h_ab=h_ab, nonce_xor=nonce_xor)
-    return M4(v_i=m3.v_i, t_i=m3.t_i), result
+    return M4(v_i=m3.v_i, t_i=m3.t_i), ServerResult(session_key=h(h_ab, nonce_xor))
 
 
 def card_verify(session: CardSession, m4: M4) -> bytes:

@@ -17,7 +17,6 @@ import json
 from json.decoder import JSONDecodeError
 from json.encoder import encode_basestring_ascii
 from itertools import product
-from operator import attrgetter
 from typing import NamedTuple, get_args, get_origin
 
 from .actors import (
@@ -50,32 +49,10 @@ ARTIFACT_VERSION = "0.1.0"
 
 # --- wire schema ---------------------------------------------------------
 
-# A login message's wire fields are its actor record's fields in
-# declaration order, with a nested message's fields in its place: M2 carries
-# the four fields of the M1 it forwards first.  A record class's
-# __annotations__ maps each of its _fields to its type, in the same order.
+# A login message's wire fields are its actor record's fields in declaration
+# order: M2 declares the four fields of the M1 it forwards first.
 WIRE_MESSAGES = {cls.__name__: cls for cls in (M1, M2, M3, M4)}
-
-
-def _wire_layout(cls, prefix: str = "") -> list[tuple[str, str, str]]:
-    """(field name, attribute path, declaring message) of each wire field, in order."""
-    layout = []
-    for name, field_type in cls.__annotations__.items():
-        if hasattr(field_type, "_fields"):
-            layout += _wire_layout(field_type, f"{prefix}{name}.")
-        else:
-            layout.append((name, prefix + name, cls.__name__))
-    return layout
-
-
-_LAYOUTS = {kind: _wire_layout(cls) for kind, cls in WIRE_MESSAGES.items()}
-WIRE_FIELDS = {kind: tuple(name for name, _, _ in layout) for kind, layout in _LAYOUTS.items()}
-_WIRE_VALUES = {kind: attrgetter(*(path for _, path, _ in layout)) for kind, layout in _LAYOUTS.items()}
-# (position, class) of each field of a message that is itself a message.
-_NESTED = {
-    cls: tuple((pos, sub) for pos, sub in enumerate(cls.__annotations__.values()) if hasattr(sub, "_fields"))
-    for cls in WIRE_MESSAGES.values()
-}
+WIRE_FIELDS = {kind: cls._fields for kind, cls in WIRE_MESSAGES.items()}
 
 
 # --- login exchange ------------------------------------------------------
@@ -89,14 +66,15 @@ def _keyed(msg, state):
 # call maps (run, each receiver's session state, message) to (next message,
 # the receiver's new state, its session key or None).  Each check, in the
 # order the actor makes them, is (name, actor error that fails it, where a
-# flipped byte is first caught by it): a message name covers every field the
-# message declares, and a message.field entry overrides that for one field.
-# t_i crosses the server unchecked inside M3 and is first verified by the card.
+# flipped byte is first caught by it): a message name covers each of its wire
+# fields, and a message.field entry overrides that for one field.  The M1
+# fields that M2 forwards are caught where M1's own are.  t_i crosses the
+# server unchecked inside M3 and is first verified by the card.
 _STEPS = (
     ("M1", "server", lambda run, states, m1: (*server_forward(run.secrets, m1, run.rng_server), None), ()),
     ("M2", "cs", lambda run, states, m2: _keyed(*cs_authenticate(run.cs, m2, run.rng_cs)), (
         ("cs_verifies_server", ServerAuthFailed, ("M2",)),
-        ("cs_verifies_user", UserAuthFailed, ("M1",)),
+        ("cs_verifies_user", UserAuthFailed, ("M1", *(f"M2.{name}" for name in M1._fields))),
     )),
     ("M3", "server", lambda run, states, m3: _keyed(*server_verify(run.secrets, states["server"], m3)), (
         ("server_verifies_cs", CSAuthFailed, ("M3",)),
@@ -118,9 +96,9 @@ _CAUGHT_BY = {
 
 # target -> (message kind, field, expected abort, party that aborts)
 MUTATION_TARGETS = {
-    f"{kind.lower()}.{name}": (kind, name, *_CAUGHT_BY.get(f"{owner}.{name}", _CAUGHT_BY[owner]))
-    for kind, layout in _LAYOUTS.items()
-    for name, _, owner in layout
+    f"{kind.lower()}.{name}": (kind, name, *_CAUGHT_BY.get(f"{kind}.{name}", _CAUGHT_BY[kind]))
+    for kind, fields in WIRE_FIELDS.items()
+    for name in fields
 }
 
 
@@ -231,9 +209,9 @@ class ScenarioConfig(NamedTuple):
 # --- wire encoding -------------------------------------------------------
 
 def encode_message(kind: str, msg) -> bytes:
-    if kind not in WIRE_MESSAGES:
-        raise ValueError(f"not a wire message kind: {kind}")
-    return concat(*_WIRE_VALUES[kind](msg))
+    if type(msg) is not WIRE_MESSAGES.get(kind):
+        raise ValueError(f"{type(msg).__name__} is not a wire message of kind {kind!r}")
+    return concat(*msg)
 
 
 def _wire_parts(kind: str, payload: bytes) -> list[bytes]:
@@ -243,16 +221,8 @@ def _wire_parts(kind: str, payload: bytes) -> list[bytes]:
     return parts
 
 
-def _build(cls, parts: list[bytes]):
-    """Rebuild a message from its flat wire fields."""
-    for pos, sub in _NESTED[cls]:
-        width = len(WIRE_FIELDS[sub.__name__])
-        parts[pos:pos + width] = [_build(sub, parts[pos:pos + width])]
-    return cls(*parts)
-
-
 def decode_message(kind: str, payload: bytes):
-    return _build(WIRE_MESSAGES[kind], _wire_parts(kind, payload))
+    return WIRE_MESSAGES[kind](*_wire_parts(kind, payload))
 
 
 # --- transcript records --------------------------------------------------
@@ -458,17 +428,19 @@ def _loads(line: str, lineno: int) -> dict:
 
 # The header fields every run writes alike; _decode_header checks them in this order.
 _HEADER_FIXED = {"artifact": ARTIFACT_NAME, "version": ARTIFACT_VERSION, "hash": HASH_NAME}
-# The header line, keys sorted; the config's line, the scenario kind and the seed fill its slots.
-_HEADER_LINE = "{%s}" % ",".join(f"{encode_basestring_ascii(key)}:{value}" for key, value in sorted({
+# Each header key's JSON value; the config's line, the scenario kind and the seed fill the slots.
+_HEADER_VALUES = {
     **{key: encode_basestring_ascii(value) for key, value in _HEADER_FIXED.items()},
-    "config": "%s", "record": '"header"', "scenario": "%s", "seed": "%d"}.items()))
+    "config": "%s", "record": '"header"', "scenario": "%s", "seed": "%d"}
+_HEADER_LINE = "{%s}" % ",".join(f"{encode_basestring_ascii(k)}:{v}" for k, v in sorted(_HEADER_VALUES.items()))
 
 
 def _decode_header(text: str) -> ScenarioConfig:
     """The run a transcript's header, its first line, names; raises ConfigError or TranscriptFormatError.
 
-    Every header field must be exactly what a fresh run of that config
-    writes, so a damaged header is reported, never re-run as another scenario.
+    Every header field must be exactly what a fresh run of that config writes,
+    and no other key may appear, so a damaged header is reported, never re-run
+    as another scenario.
     """
     line = text.partition("\n")[0]
     if not line.strip(_JSON_SPACE):
@@ -478,6 +450,8 @@ def _decode_header(text: str) -> ScenarioConfig:
         raise TranscriptFormatError("first record must be the header")
     if "config" not in header:
         raise TranscriptFormatError("header lacks a config")
+    if unknown := header.keys() - _HEADER_VALUES:
+        raise TranscriptFormatError(f"unknown header key: {min(unknown)!r}")
     cfg = ScenarioConfig.from_dict(header["config"])
     for key, expected in {**_HEADER_FIXED, "scenario": cfg.kind, "seed": cfg.seed}.items():
         if header.get(key) != expected:

@@ -128,7 +128,7 @@ class TestServerForward:
 
     def test_m1_passes_through_unchanged(self, cs):
         run = honest_run(seed=6)
-        assert run.m2.m1 == run.m1
+        assert run.m2[:len(run.m1)] == run.m1
 
 
 class TestCsAuthenticate:
@@ -151,7 +151,7 @@ class TestCsAuthenticate:
 
     def test_flipped_login_check_rejected(self):
         run = honest_run(seed=10)
-        bad = run.m2._replace(m1=run.m1._replace(g_i=flip(run.m1.g_i, 0)))
+        bad = run.m2._replace(g_i=flip(run.m2.g_i, 0))
         with pytest.raises(UserAuthFailed):
             cs_authenticate(run.cs, bad, BlockRng(10, "cs2"))
 
@@ -162,8 +162,11 @@ class TestServerVerify:
         assert run.server_result.session_key == run.cs_session.session_key
 
     def test_recovered_hash_matches_direct_hash(self):
+        # the server's key hashes the h(a_i || b_i) it recovered from r_i
         run = honest_run(seed=12)
-        assert run.server_result.h_ab == ref_h(run.card_session.a_i, run.card_session.b_i)
+        nonce_xor = ref_xor(ref_xor(run.card_session.n_i1, run.server_session.n_i2), run.cs_session.n_i3)
+        h_ab = ref_h(run.card_session.a_i, run.card_session.b_i)
+        assert run.server_result.session_key == ref_h(h_ab, nonce_xor)
 
     def test_flipped_r_rejected(self):
         run = honest_run(seed=13)
@@ -280,7 +283,7 @@ CHECKED_RECORDS = {
     "secrets": ("k_sid_y", "k_x_y"),
     "card": ("c_i", "d_i", "e_i", "h_y", "b"),
     "m1": ("f_i", "g_i", "p_ij", "cid_i"),
-    "m2": ("k_i", "m_i"),
+    "m2": ("f_i", "g_i", "p_ij", "cid_i", "k_i", "m_i"),
     "m3": ("q_i", "r_i", "v_i", "t_i"),
     "m4": ("v_i", "t_i"),
 }

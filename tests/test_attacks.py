@@ -343,23 +343,23 @@ class TestAdversaryKnowledge:
 
     def test_replay_adversary_cannot_derive_session_key(self):
         run = honest_run(seed=7)
-        result = run.server_result
-        assert (run.cs_session.h_ab, run.cs_session.nonce_xor) == (result.h_ab, result.nonce_xor)
-        preimage = ref_concat(result.h_ab, result.nonce_xor)
+        session = run.cs_session
+        preimage = ref_concat(session.h_ab, session.nonce_xor)
+        assert ref_h(preimage) == run.server_result.session_key == run.card_sk
         k = AdversaryKnowledge()
         k.observe(run.m1.f_i, run.m1.g_i, run.m1.p_ij, run.m1.cid_i)
         k.observe(run.m2.sid, run.m2.k_i, run.m2.m_i)
         k.observe(run.m3.q_i, run.m3.r_i, run.m3.v_i, run.m3.t_i)
         k.observe(run.m4.v_i, run.m4.t_i)
         assert not k.knows(run.card_sk, preimage)
-        k.observe(result.h_ab, result.nonce_xor)
+        k.observe(session.h_ab, session.nonce_xor)
         assert k.knows(run.card_sk, preimage)
 
     def test_a_query_makes_at_most_one_hash_call(self):
         run = honest_run(seed=8)
         k = AdversaryKnowledge()
-        k.observe(*run.m1, *run.m2.m1, run.m2.sid, run.m2.k_i, run.m2.m_i, *run.m3, *run.m4)
-        preimage = ref_concat(run.server_result.h_ab, run.server_result.nonce_xor)
+        k.observe(*run.m1, *run.m2, *run.m3, *run.m4)
+        preimage = ref_concat(run.cs_session.h_ab, run.cs_session.nonce_xor)
         hashes = {crypto.h.__code__, crypto.hash_bytes.__code__}
         calls = []
 

@@ -149,6 +149,19 @@ class TestMessageCodec:
         with pytest.raises(ValueError):
             decode_message("M4", encode_message("M1", run.m1))
 
+    def test_encode_rejects_a_message_of_another_class(self):
+        # an M3 would make a well-formed M4 payload of its first two fields, and a flat M2 one of seven M1 parts
+        run = honest_run(seed=22)
+        cases = [("M4", run.m3), ("M1", run.m2), ("M2", run.m1), ("M3", run.m4), ("M1", tuple(run.m1)), ("M5", run.m1)]
+        for kind, msg in cases:
+            with pytest.raises(ValueError, match=f"^{type(msg).__name__} is not a wire message of kind '{kind}'$"):
+                encode_message(kind, msg)
+
+    def test_wire_fields_are_each_records_fields(self):
+        assert simulator.WIRE_FIELDS == {kind: cls._fields for kind, cls in simulator.WIRE_MESSAGES.items()}
+        assert list(simulator.WIRE_MESSAGES.items()) == [("M1", M1), ("M2", M2), ("M3", M3), ("M4", M4)]
+        assert M2._fields == (*M1._fields, "sid", "k_i", "m_i")
+
 
 class TestHonestScenario:
     def test_four_login_events_and_three_equal_keys(self):
@@ -598,6 +611,7 @@ class TestVerifyTranscript:
             "entry not a pair": {**good, "config": {**good["config"], "dictionary": ["ab"]}},
             "non-bool tap": {**good, "config": {**good["config"], "tap_server_cs_link": "no"}},
             "unknown config key": {**good, "config": {**good["config"], "bogus": 1}},
+            "unknown header key": {**good, "zzz": 1},
             "user_id not UTF-8": {**good, "config": {**good["config"], "user_id": "\udcff"}},
             "entry not UTF-8": {**good, "config": {**good["config"], "dictionary": [["a", "\udcff"]]}},
         }
@@ -606,6 +620,8 @@ class TestVerifyTranscript:
             assert verify_transcript(text)[0] == 2, name
             with pytest.raises(TranscriptFormatError):
                 Transcript.from_jsonl(text)
+        text = "".join([json.dumps(damaged["unknown header key"]) + "\n", *lines[1:]])
+        assert verify_transcript(text) == (2, "malformed transcript: unknown header key: 'zzz'")
 
     def test_header_integer_past_digit_limit_is_malformed(self):
         # json.dumps cannot write such an int either, so the line is built as text
