@@ -97,14 +97,15 @@ def summarize(transcript: Transcript) -> list[str]:
             lines.append(f"[s{outcome.session}] {outcome.party} session key: {outcome.session_key.hex()}")
 
     report = transcript.report
-    agree = keys_agree(transcript.session_keys(1))
+    keys = transcript.session_keys(1)
+    agree = keys_agree(keys)
     if cfg.kind == "honest":
         lines.append(f"SK agreement: {'yes' if agree else 'no'}")
     elif cfg.kind == "replay":
         lines.append(f"replayed M1 accepted by CS: {'yes' if report.success else 'no'}")
         lines.append(f"adversary knows session key: {report.recovered['adversary_knows_session_key']}")
     elif cfg.kind == "masquerade":
-        lines.append(f"forged M1 accepted by CS: {'yes' if report.success else 'no'}")
+        lines.append(f"forged M1 accepted by CS: {'yes' if 'cs' in keys else 'no'}")
         lines.append(f"SK agreement (attacker, server, CS): {'yes' if agree else 'no'}")
     elif cfg.kind == "guess":
         if report.recovered:

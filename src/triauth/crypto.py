@@ -80,7 +80,7 @@ class BlockRng:
     order without perturbing each other's values.
     """
 
-    def __init__(self, seed: int, label: str = "root"):
+    def __init__(self, seed: int, label: str):
         # Everything of concat(key, i) but i's own 8 octets, framed once.
         self._head = frame(hash_bytes(concat(str(seed).encode("ascii"), label.encode("utf-8")))) + _pack_len(8)
         self._index = count()

@@ -214,15 +214,11 @@ def encode_message(kind: str, msg) -> bytes:
     return concat(*msg)
 
 
-def _wire_parts(kind: str, payload: bytes) -> list[bytes]:
+def decode_message(kind: str, payload: bytes):
     parts = split_concat(payload)
     if kind not in WIRE_FIELDS or len(parts) != len(WIRE_FIELDS[kind]):
         raise ValueError(f"payload is not a well-formed {kind}")
-    return parts
-
-
-def decode_message(kind: str, payload: bytes):
-    return WIRE_MESSAGES[kind](*_wire_parts(kind, payload))
+    return WIRE_MESSAGES[kind](*parts)
 
 
 # --- transcript records --------------------------------------------------
@@ -316,68 +312,14 @@ def _compile_line(codec, omit_none: bool):
     return eval(compile(source, f"<{codec.cls.__name__}.line>", "eval"), _LINE_GLOBALS)
 
 
-def _compile_decode(codec):
-    """The function that builds codec's record from a JSON object d, or raises through _reject.
-
-    When d holds each required key and no unknown one, it builds the record and returns it if each
-    field holds exactly its declared type.  A JSON object that is its class's keyword arguments, the
-    config's, goes to the class, which normalizes and validates itself; any other record is built as
-    a bare tuple of d's values, a bytes field hex-decoded.  Like namedtuple's __new__, it is one eval
-    of a generated lambda, compiled under the file name <Class.read>.
-    """
-    defaults = codec.cls._field_defaults
-    keys = {key: name in defaults for name, key, _ in codec._spec}  # key -> whether it may be absent
-    if codec.tag is not None:
-        keys["record"] = False
-    values = []
-    for pos, (name, key, types) in enumerate(codec._spec):
-        value = f"d.get({key!r}, {defaults[name]!r})" if name in defaults else f"d[{key!r}]"
-        if bytes in types:  # a None is left for the type check to report
-            value = f"(None if (v{pos} := {value}) is None else _hex(v{pos}))"
-        values.append(value)
-    build = f"_new(_C, ({', '.join(values)},))"
-    if codec.tag is None and all(key == name and bytes not in types for name, key, types in codec._spec):
-        build = "_C(**d)"
-    scope = {
-        "_C": codec.cls, "_new": tuple.__new__, "_hex": bytes.fromhex, "_reject": _reject, "_codec": codec,
-        "_K": frozenset(keys), "_R": frozenset(key for key, optional in keys.items() if not optional),
-        "_T": frozenset(product(*(types for _, _, types in codec._spec))),  # each allowed tuple of field types
-    }
-    keyset = "_R <= d.keys() <= _K" if any(keys.values()) else "d.keys() == _K"
-    source = f"lambda d: o if {keyset} and tuple(map(type, o := {build})) in _T else _reject(_codec, d)"
-    return eval(compile(source, f"<{codec.cls.__name__}.read>", "eval"), scope)
-
-
-def _reject(codec, record: dict):
-    """Raise the error decoding record gives, the first of: a renamed field under its own name, a bad hex
-    string, an unknown or missing key (in the class's own words) or a value the class rejects, then a
-    field of another type."""
-    kwargs = dict(record)
-    if codec.tag is not None:
-        del kwargs["record"]
-    for name, key, types in codec._spec:
-        if key != name:
-            if name in kwargs:
-                raise TypeError(f"unexpected key {name!r}")
-            if key in kwargs:
-                kwargs[name] = kwargs.pop(key)
-        if bytes in types and kwargs.get(name) is not None:
-            kwargs[name] = bytes.fromhex(kwargs[name])
-    obj = codec.cls(**kwargs)
-    name, types, value = next((name, types, value) for (name, _, types), value in zip(codec._spec, obj)
-                              if type(value) not in types)
-    raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {type(value).__name__}")
-
-
 class _Codec:
     """Writes one record class as a transcript line and reads it back from its JSON object.
 
     Bytes fields travel as lowercase hex, keys may be renamed, and a codec
     with omit_none leaves None fields out.  Decoding rejects a value whose
     class is not the field's declared type, so every decoded object can be
-    written again by line().  Both are compiled from the field spec: line()
-    when the codec is built, decode() when it is first called, so a process
-    that reads no transcript compiles no reader.
+    written again by line().  line() is compiled from the field spec when
+    the codec is built; decode() walks the JSON object once.
     """
 
     def __init__(self, cls, tag: str | None = None, rename: dict | None = None, omit_none: bool = False):
@@ -386,12 +328,32 @@ class _Codec:
         self.tag = tag
         # (field name, JSON key, classes its value may have) of each field, in order
         self._spec = [(name, rename.get(name, name), _field_types(t)) for name, t in cls.__annotations__.items()]
+        self._renamed = [(name, key) for name, key, _ in self._spec if key != name]
+        self._hex = [name for name, _, types in self._spec if bytes in types]
+        self._allowed = frozenset(product(*(types for _, _, types in self._spec)))  # each allowed tuple of field classes
         self.line = _compile_line(self, omit_none)
 
     def decode(self, record: dict):
-        """Build the record from its JSON object; the first call compiles the reader, which replaces this method."""
-        self.decode = _compile_decode(self)
-        return self.decode(record)
+        """Build the record from its JSON object.  Raises the first of: a renamed field under its own name, a bad
+        hex string, an unknown or missing key (in the class's own words) or a value the class rejects, then a
+        field of another class."""
+        kwargs = dict(record)
+        if self.tag is not None:
+            del kwargs["record"]
+        for name, key in self._renamed:
+            if name in kwargs:
+                raise TypeError(f"unexpected key {name!r}")
+            if key in kwargs:
+                kwargs[name] = kwargs.pop(key)
+        for name in self._hex:
+            if kwargs.get(name) is not None:
+                kwargs[name] = bytes.fromhex(kwargs[name])
+        obj = self.cls(**kwargs)
+        if tuple(map(type, obj)) not in self._allowed:
+            name, types, value = next((name, types, value) for (name, _, types), value in zip(self._spec, obj)
+                                      if type(value) not in types)
+            raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {type(value).__name__}")
+        return obj
 
 
 _CODECS = {
@@ -545,18 +507,12 @@ def flip_byte(data: bytes, rng: BlockRng) -> bytes:
     return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
 
 
-def adversary_tap(event: ChannelEvent, field: str | None = None, rng: BlockRng | None = None) -> ChannelEvent:
-    """The in-flight event as the adversary passes it on: observed, or with
-    one byte of its wire field `field` flipped by rng and marked modified."""
-    if event.channel != "open":
-        raise ValueError("adversary cannot tap a secure channel")
-    action, payload = "observed", event.payload
-    if field is not None:
-        parts = _wire_parts(event.kind, payload)
-        pos = WIRE_FIELDS[event.kind].index(field)
-        parts[pos] = flip_byte(parts[pos], rng)
-        action, payload = "modified", concat(*parts)
-    return ChannelEvent(event.step, event.session, event.sender, event.receiver, event.kind, "open", action, payload)
+def adversary_tap(msg, field: str | None = None, rng: BlockRng | None = None):
+    """The in-flight message as the adversary passes it on, with its action:
+    ("observed", msg), or ("modified", msg with one byte of its field `field` flipped by rng)."""
+    if field is None:
+        return "observed", msg
+    return "modified", msg._replace(**{field: flip_byte(getattr(msg, field), rng)})
 
 
 # --- scenario execution ---------------------------------------------------
@@ -616,17 +572,12 @@ class _Run:
 
     def send(self, session: int, sender: str, receiver: str, kind: str, msg, injected: bool = False):
         """Put a message on an open channel; returns the message as delivered."""
+        action = "injected" if injected else "none"
+        if not injected and (self.cfg.tap_server_cs_link or {sender, receiver} != {"server", "cs"}):
+            action, msg = adversary_tap(msg, self.target_field if kind == self.target_kind else None, self.rng_adv)
         payload = encode_message(kind, msg)
         # Every event is logged exactly once, so its step is its index in the log.
-        step = len(self.events)
-        action = "injected" if injected else "none"
-        event = ChannelEvent(step, session, sender, receiver, kind, "open", action, payload)
-        if not injected and (self.cfg.tap_server_cs_link or {sender, receiver} != {"server", "cs"}):
-            field = self.target_field if kind == self.target_kind else None
-            event = adversary_tap(event, field, self.rng_adv)
-        self.events.append(event)
-        if event.action == "modified":
-            msg = decode_message(kind, event.payload)
+        self.events.append(ChannelEvent(len(self.events), session, sender, receiver, kind, "open", action, payload))
         return msg
 
     def exchange(
@@ -707,7 +658,7 @@ def _replay(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     accepted = "cs" in keys and "server" in keys
     knowledge = AdversaryKnowledge()
     for e in _adversary_view(run.events):
-        knowledge.observe(e.payload, *_wire_parts(e.kind, e.payload))
+        knowledge.observe(e.payload, *decode_message(e.kind, e.payload))
     # CS's session-2 key is h(h_ab || nonce_xor); knows() reads that preimage.
     knows_sk = "cs" in keys and knowledge.knows(keys["cs"], concat(run.states["cs"].h_ab, run.states["cs"].nonce_xor))
     detail = (

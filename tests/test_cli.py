@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triauth import KINDS, MUTATION_TARGETS, ScenarioConfig, run_scenario, verify_transcript
-from triauth.cli import main
+from triauth.cli import main, summarize
 
 
 @pytest.fixture
@@ -53,6 +53,12 @@ class TestRunCommand:
         stdout = capsys.readouterr().out
         assert "forged M1 accepted by CS: yes" in stdout
         assert "SK agreement (attacker, server, CS): yes" in stdout
+
+    def test_masquerade_acceptance_is_read_from_the_cs_key(self):
+        # success is three-way key agreement; CS accepts the forged M1 exactly when it derives a key
+        transcript = run_scenario(ScenarioConfig(kind="masquerade", seed=1))
+        transcript = transcript._replace(report=transcript.report._replace(success=False))
+        assert "forged M1 accepted by CS: yes" in summarize(transcript)
 
     def test_mutation_reports_expected_abort(self, capsys):
         assert run_cli("run", "mutation", "--seed", "1", "--mutate-field", "m2.m_i") == 0
@@ -245,32 +251,6 @@ class TestStartUp:
             capture_output=True, text=True, check=True,
         )
         assert child.stdout == "[]\n"
-
-    def test_readers_are_compiled_on_first_use(self, tmp_path):
-        # run compiles no reader, verify only the config's, and from_jsonl those of the records it reads
-        src = Path(__file__).resolve().parent.parent / "src"
-        code = """if True:
-            import contextlib, io, pathlib
-            from triauth import Transcript, cli, simulator
-            def compiled():
-                return sorted(codec.cls.__name__ for codec in simulator._CODECS.values() if "decode" in vars(codec))
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["run", "honest", "--out", "t.jsonl"]) == 0
-                ran = compiled()
-                assert cli.main(["verify", "t.jsonl"]) == 0
-                verified = compiled()
-            Transcript.from_jsonl(pathlib.Path("t.jsonl").read_text(encoding="utf-8"))
-            print(ran, verified, compiled(), sep="\\n")
-        """
-        child = subprocess.run(
-            [sys.executable, "-S", "-c", code], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True, text=True, check=True,
-        )
-        assert child.stdout.splitlines() == [
-            "[]",
-            "['ScenarioConfig']",
-            "['ChannelEvent', 'CheckRecord', 'PartyOutcome', 'ScenarioConfig', 'ScenarioResult']",
-        ]
 
 
 class TestModuleExit:

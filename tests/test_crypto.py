@@ -130,7 +130,7 @@ class TestBlockRng:
         assert BlockRng(5, "card").next_block() != BlockRng(5, "server").next_block()
 
     def test_block_length(self):
-        assert len(BlockRng(0).next_block()) == DIGEST_LEN
+        assert len(BlockRng(0, "root").next_block()) == DIGEST_LEN
 
     @pytest.mark.parametrize("label", ["cs", "adversary", "é"])
     @pytest.mark.parametrize("seed", [0, 1, -7, 2**70])
