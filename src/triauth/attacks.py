@@ -9,7 +9,7 @@ capability includes the control server's master secrets.
 from typing import NamedTuple
 
 from .actors import SmartCard
-from .crypto import DIGEST_LEN, _pack_len, frame, hash_bytes, split_concat, xor
+from .crypto import DIGEST_LEN, _pack_len, frame, hash_bytes, split_concat
 
 
 def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ...]:
@@ -102,9 +102,13 @@ class AdversaryKnowledge:
         # only for concat(a, b) == preimage, which concat's injectivity splits one way.
         if target in seen or preimage in seen:
             return True
-        # Two distinct values XOR to target exactly when target is not all zero and xor(a, target) == b.
-        if any(target) and any(len(a) == len(target) and xor(a, target) in seen for a in seen):
-            return True
+        # Two distinct values XOR to target exactly when target is not all zero and a ^ target == b; values
+        # of target's width are compared as ints, which is exact at one width.
+        if any(target):
+            width, t = len(target), int.from_bytes(target, "big")
+            ints = {int.from_bytes(a, "big") for a in seen if len(a) == width}
+            if any((i ^ t) in ints for i in ints):
+                return True
         try:
             a, b = split_concat(preimage or b"")  # no preimage: no parts
         except ValueError:  # malformed, or not two parts

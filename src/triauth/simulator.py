@@ -480,7 +480,8 @@ class Transcript(NamedTuple):
         )
 
     def adversary_view(self) -> tuple[ChannelEvent, ...]:
-        return _adversary_view(self.events)
+        """Events the channel adversary tapped or injected; secure and untapped events have action "none"."""
+        return tuple(e for e in self.events if e.action != "none")
 
     def session_keys(self, session: int) -> dict[str, bytes]:
         return {
@@ -491,11 +492,6 @@ class Transcript(NamedTuple):
 
 
 # --- adversary channel hooks ---------------------------------------------
-
-def _adversary_view(events) -> tuple[ChannelEvent, ...]:
-    """Events the channel adversary tapped or injected; secure and untapped events have action "none"."""
-    return tuple(e for e in events if e.action != "none")
-
 
 def flip_byte(data: bytes, rng: BlockRng) -> bytes:
     """XOR one random byte of data with a random non-zero mask."""
@@ -526,7 +522,8 @@ class _Run:
     """One scenario run: its seeded streams and actors, and what it records.
 
     Building it registers the victim.  It holds the event log, checks and
-    outcomes; exchange and victim_session append each record as it happens.
+    outcomes; exchange and victim_session append each record as it happens,
+    and view holds (payload, delivered message) of each event the adversary tapped or injected.
     The config fixes what the channel adversary does: a mutation run flips
     a byte of its target (message kind, field), and every other run only observes.
     """
@@ -539,6 +536,7 @@ class _Run:
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
+        self.view: list[tuple[bytes, tuple]] = []
         self.rng_cs, self.rng_user, self.rng_server, self.rng_attacker, self.rng_adv = (
             BlockRng(cfg.seed, label) for label in ("cs", "user", "server", "attacker", "adversary")
         )
@@ -578,6 +576,8 @@ class _Run:
         payload = encode_message(kind, msg)
         # Every event is logged exactly once, so its step is its index in the log.
         self.events.append(ChannelEvent(len(self.events), session, sender, receiver, kind, "open", action, payload))
+        if action != "none":
+            self.view.append((payload, msg))
         return msg
 
     def exchange(
@@ -652,13 +652,13 @@ def _honest(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
 
 def _replay(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     run.victim_session(run.user_id, run.password)
-    # Nothing in M1 binds it to a session, so the byte-exact copy passes again.
-    captured = decode_message("M1", next(e.payload for e in run.events if e.kind == "M1"))
+    # Nothing in M1 binds it to a session, so the observed record, sent again byte for byte, passes again.
+    captured = next(msg for _, msg in run.view if type(msg) is M1)
     keys = run.exchange(2, captured, None)
     accepted = "cs" in keys and "server" in keys
     knowledge = AdversaryKnowledge()
-    for e in _adversary_view(run.events):
-        knowledge.observe(e.payload, *decode_message(e.kind, e.payload))
+    for payload, msg in run.view:
+        knowledge.observe(payload, *msg)
     # CS's session-2 key is h(h_ab || nonce_xor); knows() reads that preimage.
     knows_sk = "cs" in keys and knowledge.knows(keys["cs"], concat(run.states["cs"].h_ab, run.states["cs"].nonce_xor))
     detail = (

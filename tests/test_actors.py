@@ -277,6 +277,22 @@ def test_honest_run_hash_cost_per_actor():
     assert counts == HONEST_HASH_COST
 
 
+# (h, hash_bytes) totals of one seed-0 run of every other kind: fields of its config -> totals
+RUN_HASH_TOTALS = {
+    "masquerade": ({"kind": "masquerade"}, (48, 60)),
+    "replay-full-tap": ({"kind": "replay"}, (62, 76)),
+    "replay-user-link-only": ({"kind": "replay", "tap_server_cs_link": False}, (62, 76)),
+    "mutation-m1.f_i": ({"kind": "mutation", "mutation_target": "m1.f_i"}, (24, 35)),
+    "mutation-m4.v_i": ({"kind": "mutation", "mutation_target": "m4.v_i"}, (40, 52)),
+    "guess": ({"kind": "guess", "dictionary": (("x", "y"), ("alice", "nope"), ("alice", "pw123"))}, (41, 58)),
+}
+
+
+@pytest.mark.parametrize("fields, totals", RUN_HASH_TOTALS.values(), ids=RUN_HASH_TOTALS)
+def test_run_hash_totals_per_kind(fields, totals):
+    assert hash_calls_in_run(ScenarioConfig(seed=0, **fields))["total"] == totals
+
+
 # honest_run attribute -> the digest fields of the record it holds, which is checked when built
 CHECKED_RECORDS = {
     "cs": ("x", "y"),

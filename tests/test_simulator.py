@@ -782,3 +782,18 @@ class TestLinkRestriction:
         view = restricted.adversary_view()
         assert [(e.session, e.kind, e.action) for e in view] == user_link_view
         assert all("user" in (e.sender, e.receiver) or e.action == "injected" for e in view)
+
+    @pytest.mark.parametrize("tap", [True, False], ids=["full-tap", "user-link-only"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_view_kept_at_the_tap_matches_the_wire(self, kind, tap):
+        """A run keeps each tapped or injected message as the record it delivered: the same rows, in the same
+        order, as decoding the payloads of the transcript's adversary view."""
+        targets = [t for t, (message_kind, *_) in MUTATION_TARGETS.items() if tap or message_kind in ("M1", "M4")]
+        for seed in range(3):
+            extra = {"mutation_target": targets[seed * 5 % len(targets)]} if kind == "mutation" else {}
+            cfg = config(kind, seed=seed, tap_server_cs_link=tap, **extra)
+            run = simulator._Run(cfg)
+            simulator._SCENARIOS[kind](run)
+            wire = [(e.payload, e.kind, *decode_message(e.kind, e.payload)) for e in run_scenario(cfg).adversary_view()]
+            assert wire
+            assert [(payload, type(msg).__name__, *msg) for payload, msg in run.view] == wire
