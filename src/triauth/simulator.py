@@ -110,6 +110,10 @@ class TranscriptFormatError(ValueError):
     """Transcript text cannot be parsed."""
 
 
+class _Diverged(Exception):
+    """A verifying run wrote a line that the transcript does not hold in its place."""
+
+
 def _utf8_ok(value: str) -> bool:
     """Whether value can be encoded as UTF-8, that is, holds no lone surrogate."""
     try:
@@ -395,6 +399,11 @@ _HEADER_VALUES = {
     **{key: encode_basestring_ascii(value) for key, value in _HEADER_FIXED.items()},
     "config": "%s", "record": '"header"', "scenario": "%s", "seed": "%d"}
 _HEADER_LINE = "{%s}" % ",".join(f"{encode_basestring_ascii(k)}:{v}" for k, v in sorted(_HEADER_VALUES.items()))
+_EVENT_LINE = _CODECS[ChannelEvent].line
+
+
+def _header_line(cfg: ScenarioConfig) -> str:
+    return _HEADER_LINE % (_CODECS[ScenarioConfig].line(cfg), encode_basestring_ascii(cfg.kind), cfg.seed)
 
 
 def _decode_header(text: str) -> ScenarioConfig:
@@ -432,15 +441,13 @@ class Transcript(NamedTuple):
     result: ScenarioResult
 
     def to_jsonl(self) -> str:
-        cfg = self.config
-        lines = [_HEADER_LINE % (_CODECS[ScenarioConfig].line(cfg), encode_basestring_ascii(cfg.kind), cfg.seed)]
-        lines += map(_CODECS[ChannelEvent].line, self.events)
-        lines += map(_CODECS[CheckRecord].line, self.checks)
-        lines += map(_CODECS[PartyOutcome].line, self.outcomes)
-        if self.report is not None:
-            lines.append(_CODECS[AttackReport].line(self.report))
-        lines.append(_CODECS[ScenarioResult].line(self.result))
-        return "\n".join(lines) + "\n"
+        return "\n".join([_header_line(self.config), *map(_EVENT_LINE, self.events), *self._closing_lines()])
+
+    def _closing_lines(self) -> list[str]:
+        """The lines after the events: the checks, the outcomes, any report, the result, then "" for the final \\n."""
+        lines = [*map(_CODECS[CheckRecord].line, self.checks), *map(_CODECS[PartyOutcome].line, self.outcomes)]
+        lines += [] if self.report is None else [_CODECS[AttackReport].line(self.report)]
+        return lines + [_CODECS[ScenarioResult].line(self.result), ""]
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
@@ -526,10 +533,13 @@ class _Run:
     and view holds (payload, delivered message) of each event the adversary tapped or injected.
     The config fixes what the channel adversary does: a mutation run flips
     a byte of its target (message kind, field), and every other run only observes.
+    A verifying run is given expected, an iterator over its transcript's lines from the first event
+    on, and logging an event whose line does not come next there raises _Diverged.
     """
 
-    def __init__(self, cfg: ScenarioConfig):
+    def __init__(self, cfg: ScenarioConfig, expected=None):
         self.cfg = cfg
+        self.expected = expected
         self.target_kind = self.target_field = None
         if cfg.kind == "mutation":
             self.target_kind, self.target_field = MUTATION_TARGETS[cfg.mutation_target][:2]
@@ -548,9 +558,10 @@ class _Run:
         self.card = self.register("user", self.user_id, self.password, self.rng_user)
 
     def record_secure(self, session: int, sender: str, receiver: str, kind: str, payload: bytes) -> None:
-        self.events.append(
-            ChannelEvent(len(self.events), session, sender, receiver, kind, "secure", "none", payload)
-        )
+        event = ChannelEvent(len(self.events), session, sender, receiver, kind, "secure", "none", payload)
+        self.events.append(event)
+        if self.expected is not None and _EVENT_LINE(event) != next(self.expected, None):
+            raise _Diverged
 
     def first_abort(self) -> tuple[str, str] | None:
         for outcome in self.outcomes:
@@ -575,7 +586,10 @@ class _Run:
             action, msg = adversary_tap(msg, self.target_field if kind == self.target_kind else None, self.rng_adv)
         payload = encode_message(kind, msg)
         # Every event is logged exactly once, so its step is its index in the log.
-        self.events.append(ChannelEvent(len(self.events), session, sender, receiver, kind, "open", action, payload))
+        event = ChannelEvent(len(self.events), session, sender, receiver, kind, "open", action, payload)
+        self.events.append(event)
+        if self.expected is not None and _EVENT_LINE(event) != next(self.expected, None):
+            raise _Diverged
         if action != "none":
             self.view.append((payload, msg))
         return msg
@@ -733,11 +747,14 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     streams, so the same configuration always yields the same transcript.
     Protocol aborts are recorded in the transcript, never raised.
     """
-    run = _Run(cfg)
-    result, work, recovered = _SCENARIOS[cfg.kind](run)
-    report = None if work is None else AttackReport(cfg.kind, result.expectations_met, work, recovered)
+    return _play(_Run(cfg))
+
+
+def _play(run: _Run) -> Transcript:
+    result, work, recovered = _SCENARIOS[run.cfg.kind](run)
+    report = None if work is None else AttackReport(run.cfg.kind, result.expectations_met, work, recovered)
     return Transcript(
-        config=cfg,
+        config=run.cfg,
         events=tuple(run.events),
         checks=tuple(run.checks),
         outcomes=tuple(run.outcomes),
@@ -747,21 +764,24 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
 
 def verify_transcript(text: str) -> tuple[int, str]:
-    """Check a transcript against a deterministic re-run of its scenario.
+    r"""Check a transcript against a deterministic re-run of its scenario.
 
-    Because every value in a run derives from the recorded configuration,
-    re-executing the scenario re-derives every hash and XOR relation; the
-    transcript is consistent exactly when the regenerated file matches byte
-    for byte.  Returns (0, ...) when consistent, (1, ...) when any recorded
-    value deviates, (2, ...) when the transcript cannot be parsed.
+    Every value in a run derives from the recorded configuration, so the re-run
+    re-derives every hash and XOR relation.  Lines, split on \n alone, are compared
+    in to_jsonl's order as the re-run writes them; the first that differs stops the
+    check, with the status a whole-file compare gives: (0, ...) when consistent,
+    (1, ...) when any recorded value deviates, (2, ...) when the transcript cannot be parsed.
     """
+    lines = text.split("\n")
     try:
-        # A raw \r cannot sit inside a JSON string, so it ends the header too,
-        # and a CR or CRLF copy is re-run and found inconsistent.
-        cfg = _decode_header(text.partition("\r")[0])
+        # A raw \r cannot sit inside a JSON string, so it ends the header too; a CRLF copy's line 1 then differs.
+        cfg = _decode_header(lines[0].partition("\r")[0])
     except (TranscriptFormatError, ConfigError) as exc:
         return 2, f"malformed transcript: {exc}"
-    regenerated = run_scenario(cfg).to_jsonl()
-    if regenerated == text:
-        return 0, "transcript consistent: matches deterministic re-run"
-    return 1, "transcript inconsistent: differs from deterministic re-run"
+    expected = iter(lines)
+    try:
+        if next(expected) != _header_line(cfg) or _play(_Run(cfg, expected))._closing_lines() != [*expected]:
+            raise _Diverged
+    except _Diverged:
+        return 1, "transcript inconsistent: differs from deterministic re-run"
+    return 0, "transcript consistent: matches deterministic re-run"

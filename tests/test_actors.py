@@ -5,6 +5,7 @@ straight from hashlib, independent of the package's own helpers.
 """
 
 import random
+import re
 import sys
 
 import pytest
@@ -28,6 +29,7 @@ from triauth import (
     run_scenario,
     server_forward,
     server_verify,
+    verify_transcript,
 )
 from triauth import actors, crypto
 
@@ -239,8 +241,8 @@ HONEST_HASH_COST = {
 }
 
 
-def hash_calls_in_run(cfg):
-    """(h, hash_bytes) call counts in total and per actor function, from profile call events.
+def hash_calls_in_run(arg, call=run_scenario):
+    """(h, hash_bytes) call counts of call(arg), in total and per actor function, from profile call events.
 
     Functions are matched by code object, so nothing in the package is
     replaced while it runs.
@@ -265,7 +267,7 @@ def hash_calls_in_run(cfg):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        run_scenario(cfg)
+        call(arg)
     finally:
         sys.setprofile(previous)
     return {name: tuple(pair) for name, pair in counts.items()}
@@ -291,6 +293,27 @@ RUN_HASH_TOTALS = {
 @pytest.mark.parametrize("fields, totals", RUN_HASH_TOTALS.values(), ids=RUN_HASH_TOTALS)
 def test_run_hash_totals_per_kind(fields, totals):
     assert hash_calls_in_run(ScenarioConfig(seed=0, **fields))["total"] == totals
+
+
+def test_verify_stops_at_the_first_diverging_line():
+    """verify re-runs a scenario only up to the first event line the transcript does not hold.
+
+    With the first payload digit flipped, the re-run stops as it logs the
+    registration request. Its 11 hash_bytes calls key the five random
+    streams, draw the control server's two keys, register the service server
+    (two h calls), draw the card's b and blind the password. A flip in M1, the
+    first login event, stops it later, but still before CS.
+    """
+    text = run_scenario(ScenarioConfig(kind="honest", seed=1)).to_jsonl()
+    assert hash_calls_in_run(text, verify_transcript)["total"][1] == 52
+
+    def flipped(nth):
+        at = [m.end() for m in re.finditer('"payload":"', text)][nth]
+        return text[:at] + "01"[text[at] == "0"] + text[at + 1:]
+
+    assert hash_calls_in_run(flipped(0), verify_transcript)["total"][1] == 11
+    m1_flipped = hash_calls_in_run(flipped(2), verify_transcript)
+    assert 11 < m1_flipped["total"][1] < 52 and m1_flipped["cs_authenticate"] == (0, 0)
 
 
 # honest_run attribute -> the digest fields of the record it holds, which is checked when built

@@ -753,6 +753,45 @@ def edited_transcripts(draw):
     return text
 
 
+def whole_file_verify(text):
+    """verify's status and message by a whole-file compare: malformed where the header does not decode, else
+    consistent exactly when a fresh run writes the same text."""
+    try:
+        cfg = simulator._decode_header(text.partition("\r")[0])
+    except (TranscriptFormatError, ConfigError) as exc:
+        return 2, f"malformed transcript: {exc}"
+    if run_scenario(cfg).to_jsonl() == text:
+        return 0, "transcript consistent: matches deterministic re-run"
+    return 1, "transcript inconsistent: differs from deterministic re-run"
+
+
+def flip_digit(line, at):
+    """line with the hex digit at position at changed."""
+    return line[:at] + "0123456789abcdef"[int(line[at], 16) ^ 1] + line[at + 1:]
+
+
+def negate(line):
+    """line with each JSON true written false and each false true."""
+    return re.sub(":(true|false)", lambda m: ":false" if m[1] == "true" else ":true", line)
+
+
+def single_line_edits(text):
+    """(name, edited copy) of each single-line edit: a hex digit in each event line, a check line, the result
+    line, each line dropped, the last line twice, a blank line after each line, no final \\n, CRLF line ends."""
+    lines = text.split("\n")[:-1]
+    edits = [(f"event line {i + 1}", {i: flip_digit(line, line.index('"payload":"') + 11 + i)})
+             for i, line in enumerate(lines) if '"record":"event"' in line]
+    check = next(i for i, line in enumerate(lines) if '"record":"check"' in line)
+    edits += [("check line", {check: negate(lines[check])}), ("result line", {len(lines) - 1: negate(lines[-1])})]
+    edited = [(name, "".join(edit.get(i, line) + "\n" for i, line in enumerate(lines))) for name, edit in edits]
+    edited += [(f"line {i + 1} dropped", "".join(line + "\n" for line in lines[:i] + lines[i + 1:]))
+               for i in range(len(lines))]
+    edited += [(f"blank line after line {i + 1}", "".join(line + "\n" for line in lines[:i + 1] + [""] + lines[i + 1:]))
+               for i in range(len(lines))]
+    return edited + [("last line twice", text + lines[-1] + "\n"), ("no final newline", text[:-1]),
+                     ("CRLF line ends", text.replace("\n", "\r\n"))]
+
+
 class TestVerifyNeverRaises:
     @settings(max_examples=500, deadline=None)
     @given(edited_transcripts())
@@ -760,6 +799,25 @@ class TestVerifyNeverRaises:
         status, message = verify_transcript(text)
         assert status in (0, 1, 2)
         assert isinstance(message, str)
+        # verify stops at the first line that differs, and still gives what a whole-file compare gives
+        assert (status, message) == whole_file_verify(text)
+
+
+class TestVerifyMatchesAWholeFileCompare:
+    """verify stops at the first line that differs from the re-run; its status and message are always those of
+    comparing the whole file the re-run writes."""
+
+    @pytest.mark.parametrize("kind", ["honest", "replay", "masquerade", "guess", "mutation"])
+    def test_every_single_line_edit(self, kind):
+        target = "m3.t_i" if kind == "mutation" else None
+        text = run_scenario(config(kind, seed=37, mutation_target=target)).to_jsonl()
+        assert verify_transcript(text) == whole_file_verify(text)
+        assert verify_transcript(text)[0] == 0
+        for name, edited in single_line_edits(text):
+            # a dropped header leaves an event on line 1, which is malformed (2); every other edit is caught (1)
+            expected = 2 if name == "line 1 dropped" else 1
+            assert edited != text and verify_transcript(edited) == whole_file_verify(edited), name
+            assert verify_transcript(edited)[0] == expected, name
 
 
 class TestLinkRestriction:
