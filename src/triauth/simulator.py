@@ -84,6 +84,9 @@ _STEPS = (
     )),
 )
 
+# The login messages that cross the server-CS link, which a user-link-only tap leaves alone.
+_SERVER_CS_KINDS = ("M2", "M3")
+
 _STEP_ABORTS = tuple(tuple(abort for _, abort, _ in checks) for *_, checks in _STEPS)
 
 # message or message.field -> (abort, party that aborts) for a flipped byte in it
@@ -192,7 +195,7 @@ class ScenarioConfig(NamedTuple):
             if not isinstance(self.mutation_target, str) or self.mutation_target not in MUTATION_TARGETS:
                 raise ConfigError(f"unknown mutation target: {self.mutation_target!r}")
             message_kind = MUTATION_TARGETS[self.mutation_target][0]
-            if message_kind in ("M2", "M3") and not self.tap_server_cs_link:
+            if message_kind in _SERVER_CS_KINDS and not self.tap_server_cs_link:
                 raise ConfigError(f"{self.mutation_target} is not on a tapped link")
         elif self.mutation_target is not None:
             raise ConfigError("mutation_target is only valid for mutation scenarios")
@@ -557,8 +560,9 @@ class _Run:
         self.secrets = register_server(self.cs, self.sid)
         self.card = self.register("user", self.user_id, self.password, self.rng_user)
 
-    def record_secure(self, session: int, sender: str, receiver: str, kind: str, payload: bytes) -> None:
-        event = ChannelEvent(len(self.events), session, sender, receiver, kind, "secure", "none", payload)
+    def log(self, session: int, sender: str, receiver: str, kind: str, channel: str, action: str, payload: bytes):
+        """Append one event; every event is logged exactly once, so its step is its index in the log."""
+        event = ChannelEvent(len(self.events), session, sender, receiver, kind, channel, action, payload)
         self.events.append(event)
         if self.expected is not None and _EVENT_LINE(event) != next(self.expected, None):
             raise _Diverged
@@ -573,23 +577,19 @@ class _Run:
         """Registration ceremony over the secure channel, recorded as two events."""
         b = rng.next_block()
         a_i = h(b, password)
-        self.record_secure(0, party, "cs", "RegistrationRequest", concat(user_id, a_i))
+        self.log(0, party, "cs", "RegistrationRequest", "secure", "none", concat(user_id, a_i))
         card = register_user(self.cs, user_id, a_i, b)
         # b never crosses the channel: the holder stores it after issuance.
-        self.record_secure(0, "cs", party, "CardIssue", concat(card.c_i, card.d_i, card.e_i, card.h_y))
+        self.log(0, "cs", party, "CardIssue", "secure", "none", concat(card.c_i, card.d_i, card.e_i, card.h_y))
         return card
 
     def send(self, session: int, sender: str, receiver: str, kind: str, msg, injected: bool = False):
         """Put a message on an open channel; returns the message as delivered."""
         action = "injected" if injected else "none"
-        if not injected and (self.cfg.tap_server_cs_link or {sender, receiver} != {"server", "cs"}):
+        if not injected and (self.cfg.tap_server_cs_link or kind not in _SERVER_CS_KINDS):
             action, msg = adversary_tap(msg, self.target_field if kind == self.target_kind else None, self.rng_adv)
         payload = encode_message(kind, msg)
-        # Every event is logged exactly once, so its step is its index in the log.
-        event = ChannelEvent(len(self.events), session, sender, receiver, kind, "open", action, payload)
-        self.events.append(event)
-        if self.expected is not None and _EVENT_LINE(event) != next(self.expected, None):
-            raise _Diverged
+        self.log(session, sender, receiver, kind, "open", action, payload)
         if action != "none":
             self.view.append((payload, msg))
         return msg

@@ -16,6 +16,10 @@ from hypothesis import strategies as st
 from triauth import KINDS, MUTATION_TARGETS, ScenarioConfig, run_scenario, verify_transcript
 from triauth.cli import main, summarize
 
+from make_golden import cases
+
+GOLDEN_CASES = cases()
+
 
 @pytest.fixture
 def dict_file(tmp_path):
@@ -33,7 +37,7 @@ class TestRunCommand:
         out = str(tmp_path / "t.log")
         assert run_cli("run", "honest", "--seed", "1", "--out", out) == 0
         stdout = capsys.readouterr().out
-        assert "SK agreement: yes" in stdout
+        assert "session keys agree" in stdout
         assert f"transcript written: {out}" in stdout
 
     def test_guess_prints_credentials_and_work(self, dict_file, capsys):
@@ -45,20 +49,20 @@ class TestRunCommand:
     def test_replay_reports_acceptance(self, capsys):
         assert run_cli("run", "replay", "--seed", "1") == 0
         stdout = capsys.readouterr().out
-        assert "replayed M1 accepted by CS: yes" in stdout
+        assert "replayed M1 accepted by CS and server: yes" in stdout
         assert "adversary knows session key: no" in stdout
 
     def test_masquerade_reports_shared_key(self, capsys):
         assert run_cli("run", "masquerade", "--seed", "1") == 0
         stdout = capsys.readouterr().out
         assert "forged M1 accepted by CS: yes" in stdout
-        assert "SK agreement (attacker, server, CS): yes" in stdout
+        assert "attacker, server, and CS share one key: yes" in stdout
 
     def test_masquerade_acceptance_is_read_from_the_cs_key(self):
         # success is three-way key agreement; CS accepts the forged M1 exactly when it derives a key
         transcript = run_scenario(ScenarioConfig(kind="masquerade", seed=1))
         transcript = transcript._replace(report=transcript.report._replace(success=False))
-        assert "forged M1 accepted by CS: yes" in summarize(transcript)
+        assert "forged M1 accepted by CS: yes; attacker, server, and CS share one key: yes" in summarize(transcript)
 
     def test_mutation_reports_expected_abort(self, capsys):
         assert run_cli("run", "mutation", "--seed", "1", "--mutate-field", "m2.m_i") == 0
@@ -70,6 +74,19 @@ class TestRunCommand:
 
     def test_mutation_without_target_is_usage_error(self, capsys):
         assert run_cli("run", "mutation", "--seed", "1") == 2
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("honest", ["--mutate-field", "m1.f_i"]),
+        ("masquerade", ["--mutate-field", "m4.v_i"]),
+        ("guess", ["--dict", "DICT", "--mutate-field", "m1.f_i"]),
+        ("replay", ["--dict", "DICT"]),
+        ("honest", ["--dict", "DICT", "--cross"]),
+        ("mutation", ["--mutate-field", "m1.f_i", "--dict", "DICT"]),
+    ])
+    def test_flag_for_another_kind_is_usage_error(self, kind, flags, dict_file, capsys):
+        flags = [dict_file if flag == "DICT" else flag for flag in flags]
+        assert run_cli("run", kind, "--seed", "1", *flags) == 2
+        assert "is only valid for" in capsys.readouterr().err
 
     def test_unknown_kind_is_usage_error(self, capsys):
         assert run_cli("run", "bogus") == 2
@@ -104,6 +121,18 @@ class TestRunCommand:
         path.write_text("alice\tzzz\nbob\tpw123\n", encoding="utf-8")
         assert run_cli("run", "guess", "--seed", "1", "--dict", str(path)) == 1
         assert run_cli("run", "guess", "--seed", "1", "--dict", str(path), "--cross") == 0
+
+
+class TestSummary:
+    @pytest.mark.parametrize("case_id", sorted(GOLDEN_CASES))
+    def test_summary_prints_the_verdict_the_run_wrote(self, case_id):
+        transcript = run_scenario(GOLDEN_CASES[case_id])
+        lines = summarize(transcript)
+        assert transcript.result.detail in lines
+        assert "\n".join(lines).count(transcript.result.detail) == 1
+        assert (lines[-1] == "expectations met: yes") == transcript.result.expectations_met
+        guess_lines = [line for line in lines if line.startswith(("recovered credentials: ", "evaluations: "))]
+        assert len(guess_lines) == (2 if transcript.config.kind == "guess" else 0)
 
 
 class TestDeterminism:
