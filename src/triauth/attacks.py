@@ -114,12 +114,3 @@ class AdversaryKnowledge:
         except ValueError:  # malformed, or not two parts
             return False
         return a in seen and b in seen
-
-
-class AttackReport(NamedTuple):
-    """Machine-checked outcome of one attack scenario."""
-
-    name: str
-    success: bool
-    work: int
-    recovered: dict

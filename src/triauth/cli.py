@@ -21,6 +21,15 @@ from .simulator import (
 )
 from .attacks import read_dictionary_file
 
+# dest of each flag that only one kind reads -> (the flag, that kind)
+_KIND_FLAGS = {
+    "attacker_id": ("--attacker-id", "masquerade"),
+    "attacker_password": ("--attacker-password", "masquerade"),
+    "dict_path": ("--dict", "guess"),
+    "cross": ("--cross", "guess"),
+    "mutation_target": ("--mutate-field", "mutation"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -33,14 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("kind", choices=KINDS, help="scenario kind")
     run_p.add_argument("--seed", type=int, default=0, help="scenario seed (default 0)")
     run_p.add_argument("--out", help="write the transcript to this path")
-    defaults = ScenarioConfig._field_defaults
-    run_p.add_argument("--id", dest="user_id", default=defaults["user_id"], help="victim identity")
-    run_p.add_argument("--password", default=defaults["password"], help="victim password")
-    run_p.add_argument("--sid", default=defaults["sid"], help="service server identity")
-    run_p.add_argument("--attacker-id", default=defaults["attacker_id"], help="masquerade: attacker identity")
-    run_p.add_argument(
-        "--attacker-password", default=defaults["attacker_password"], help="masquerade: attacker password",
-    )
+    run_p.add_argument("--id", dest="user_id", help="victim identity")
+    run_p.add_argument("--password", help="victim password")
+    run_p.add_argument("--sid", help="service server identity")
+    run_p.add_argument("--attacker-id", help="masquerade: attacker identity")
+    run_p.add_argument("--attacker-password", help="masquerade: attacker password")
     run_p.add_argument("--dict", dest="dict_path", help="guess: candidate file, one id<TAB>password per line")
     run_p.add_argument(
         "--cross", action="store_true",
@@ -61,21 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    """The run's config from every flag given; one that does not apply to the kind fails validation."""
+    """The run's config from the flags given; a flag only another kind reads is rejected before any file is read."""
+    for dest, (flag, kind) in _KIND_FLAGS.items():
+        if getattr(args, dest) not in (None, False) and args.kind != kind:
+            raise ConfigError(f"{flag} is only valid for {kind} scenarios")
     if args.kind == "guess" and not args.dict_path:
         raise ConfigError("guess scenario requires --dict")
     if args.kind == "mutation" and not args.mutation_target:
         raise ConfigError("mutation scenario requires --mutate-field")
+    given = {name: value for name in ScenarioConfig._fields if (value := getattr(args, name, None)) is not None}
     return ScenarioConfig(
-        kind=args.kind,
-        seed=args.seed,
-        user_id=args.user_id,
-        password=args.password,
-        sid=args.sid,
-        attacker_id=args.attacker_id,
-        attacker_password=args.attacker_password,
+        **given,
         dictionary=read_dictionary_file(args.dict_path, cross=args.cross) if args.dict_path else None,
-        mutation_target=args.mutation_target,
         tap_server_cs_link=not args.user_link_only,
     )
 
@@ -91,7 +94,7 @@ def summarize(transcript: Transcript) -> list[str]:
         if outcome.abort is not None:
             lines.append(f"[s{outcome.session}] {outcome.party} aborted: {outcome.abort}")
         else:
-            lines.append(f"[s{outcome.session}] {outcome.party} session key: {outcome.session_key.hex()}")
+            lines.append(f"[s{outcome.session}] {outcome.party} session key: {outcome.sk.hex()}")
     lines.append(transcript.result.detail)
     if cfg.kind == "guess":  # the report, not the detail, holds the credentials
         found = transcript.report.recovered

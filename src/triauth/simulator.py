@@ -40,7 +40,7 @@ from .actors import (
     server_forward,
     server_verify,
 )
-from .attacks import AdversaryKnowledge, AttackReport, guess_credentials
+from .attacks import AdversaryKnowledge, guess_credentials
 from .crypto import HASH_NAME, BlockRng, concat, h, split_concat
 
 ARTIFACT_NAME = "triauth"
@@ -253,11 +253,11 @@ class CheckRecord(NamedTuple):
 
 
 class PartyOutcome(NamedTuple):
-    """How one party's session ended: a derived key or an abort reason."""
+    """How one party's session ended: its session key sk or an abort reason."""
 
     session: int
     party: str
-    session_key: bytes | None = None
+    sk: bytes | None = None
     abort: str | None = None
 
 
@@ -266,6 +266,15 @@ class ScenarioResult(NamedTuple):
 
     expectations_met: bool
     detail: str
+
+
+class AttackReport(NamedTuple):
+    """Machine-checked outcome of one attack scenario."""
+
+    name: str
+    success: bool
+    work: int
+    recovered: dict
 
 
 # No record or header contains itself, so the encoder skips the cycle check it makes per container.
@@ -285,19 +294,19 @@ def _field_types(field_type) -> tuple:
     return tuple(get_origin(member) or member for member in members)
 
 
-def _compile_line(codec, omit_none: bool):
+def _compile_line(codec):
     """The function that writes a record r of codec's class as the JSON text of its sorted "key":value pairs.
 
     It fills a template of those pairs with each field's converter inlined; like namedtuple's __new__, it
-    is one eval of a generated lambda, compiled under the file name <Class.line>.  With omit_none, a None
-    field's pair is left out with the comma that joins it to the first pair always written.
+    is one eval of a generated lambda, compiled under the file name <Class.line>.  A tagged record leaves
+    a None field's pair out with the comma that joins it to the first pair always written.
     """
     tag = codec.tag
-    fields = {key: (f"r[{pos}]", types) for pos, (_, key, types) in enumerate(codec._spec)}
+    fields = {name: (f"r[{pos}]", types) for pos, (name, types) in enumerate(codec._spec)}
     if tag is not None:
         fields["record"] = (None, (str,))
     keys = sorted(fields)
-    omitted = [omit_none and type(None) in fields[key][1] for key in keys]
+    omitted = [tag is not None and type(None) in fields[key][1] for key in keys]
     first = omitted.index(False)
     parts, values = ["{"], []  # the template's text between its %s slots, and each slot's value
     for i, key in enumerate(keys):
@@ -322,42 +331,35 @@ def _compile_line(codec, omit_none: bool):
 class _Codec:
     """Writes one record class as a transcript line and reads it back from its JSON object.
 
-    Bytes fields travel as lowercase hex, keys may be renamed, and a codec
-    with omit_none leaves None fields out.  Decoding rejects a value whose
-    class is not the field's declared type, so every decoded object can be
-    written again by line().  line() is compiled from the field spec when
-    the codec is built; decode() walks the JSON object once.
+    Its JSON keys are the class's field names, and a record with a tag adds
+    it under "record".  Bytes fields travel as lowercase hex.  A tagged
+    record's line leaves out each None field; the config, which the header
+    holds untagged, writes null.  Decoding rejects a value whose class is
+    not the field's declared type, so every decoded object can be written
+    again by line().  line() is compiled from the field spec when the codec
+    is built; decode() walks the JSON object once.
     """
 
-    def __init__(self, cls, tag: str | None = None, rename: dict | None = None, omit_none: bool = False):
-        rename = rename or {}
+    def __init__(self, cls, tag: str | None = None):
         self.cls = cls
         self.tag = tag
-        # (field name, JSON key, classes its value may have) of each field, in order
-        self._spec = [(name, rename.get(name, name), _field_types(t)) for name, t in cls.__annotations__.items()]
-        self._renamed = [(name, key) for name, key, _ in self._spec if key != name]
-        self._hex = [name for name, _, types in self._spec if bytes in types]
-        self._allowed = frozenset(product(*(types for _, _, types in self._spec)))  # each allowed tuple of field classes
-        self.line = _compile_line(self, omit_none)
+        self._spec = [(name, _field_types(t)) for name, t in cls.__annotations__.items()]  # (name, classes) in order
+        self._hex = [name for name, types in self._spec if bytes in types]
+        self._allowed = frozenset(product(*(types for _, types in self._spec)))  # each allowed tuple of field classes
+        self.line = _compile_line(self)
 
     def decode(self, record: dict):
-        """Build the record from its JSON object.  Raises the first of: a renamed field under its own name, a bad
-        hex string, an unknown or missing key (in the class's own words) or a value the class rejects, then a
-        field of another class."""
+        """Build the record from its JSON object.  Raises the first of: a bad hex string, an unknown or missing
+        key (in the class's own words) or a value the class rejects, then a field of another class."""
         kwargs = dict(record)
         if self.tag is not None:
             del kwargs["record"]
-        for name, key in self._renamed:
-            if name in kwargs:
-                raise TypeError(f"unexpected key {name!r}")
-            if key in kwargs:
-                kwargs[name] = kwargs.pop(key)
         for name in self._hex:
             if kwargs.get(name) is not None:
                 kwargs[name] = bytes.fromhex(kwargs[name])
         obj = self.cls(**kwargs)
         if tuple(map(type, obj)) not in self._allowed:
-            name, types, value = next((name, types, value) for (name, _, types), value in zip(self._spec, obj)
+            name, types, value = next((name, types, value) for (name, types), value in zip(self._spec, obj)
                                       if type(value) not in types)
             raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, not {type(value).__name__}")
         return obj
@@ -369,7 +371,7 @@ _CODECS = {
         _Codec(ScenarioConfig),
         _Codec(ChannelEvent, "event"),
         _Codec(CheckRecord, "check"),
-        _Codec(PartyOutcome, "outcome", rename={"session_key": "sk"}, omit_none=True),
+        _Codec(PartyOutcome, "outcome"),
         _Codec(AttackReport, "report"),
         _Codec(ScenarioResult, "result"),
     )
@@ -495,9 +497,9 @@ class Transcript(NamedTuple):
 
     def session_keys(self, session: int) -> dict[str, bytes]:
         return {
-            o.party: o.session_key
+            o.party: o.sk
             for o in self.outcomes
-            if o.session == session and o.session_key is not None
+            if o.session == session and o.sk is not None
         }
 
 

@@ -1,5 +1,7 @@
-"""Shared driver for the raw actor pipeline, used across test modules."""
+"""Helpers shared across test modules: a run of the raw actor pipeline and a hash-call counter."""
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from triauth import (
@@ -23,6 +25,7 @@ from triauth import (
     server_forward,
     server_verify,
 )
+from triauth import crypto
 
 from oracle import ref_h
 
@@ -82,6 +85,40 @@ def honest_run(
         server_result=server_result,
         card_sk=card_sk,
     )
+
+
+def count_calls(call, *args, scopes=()):
+    """call(*args)'s result and a Counter of the calls it made, read from sys.setprofile events.
+
+    It counts "h" and "hash_bytes", matched by code object so nothing in the
+    package is replaced while it runs, and "_pack_len", the C length-prefix
+    pack.  A hash call made while a function in scopes runs counts once more
+    under (that function's name, the hash's name).
+    """
+    hashes = {crypto.h.__code__: "h", crypto.hash_bytes.__code__: "hash_bytes"}
+    scoped = {fn.__code__: fn.__name__ for fn in scopes}
+    counts, inside = Counter(), []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code in hashes:
+            counts[hashes[code]] += 1
+            if inside:
+                counts[inside[-1], hashes[code]] += 1
+        elif event == "c_call" and arg is crypto._pack_len:
+            counts["_pack_len"] += 1
+        elif code in scoped and event == "call":
+            inside.append(scoped[code])
+        elif code in scoped and event == "return":
+            inside.pop()
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = call(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, counts
 
 
 def flip(data: bytes, pos: int, mask: int = 0x01) -> bytes:

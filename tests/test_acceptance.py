@@ -97,7 +97,7 @@ def test_honest_run_matches_the_protocol_equations_100_seeds(tap):
         fields, sk = ref_session(seed, user_id.encode(), password.encode(), sid.encode())
         payloads = [(kind, ref_concat(*parts)) for kind, parts in fields.items()]
         events = [(e.kind, e.payload) for e in transcript.events]
-        keys = {o.party: o.session_key for o in transcript.outcomes}
+        keys = {o.party: o.sk for o in transcript.outcomes}
         if events != payloads or keys != dict.fromkeys(("card", "server", "cs"), sk):
             bad += 1
     report(

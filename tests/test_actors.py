@@ -6,7 +6,6 @@ straight from hashlib, independent of the package's own helpers.
 
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +30,9 @@ from triauth import (
     server_verify,
     verify_transcript,
 )
-from triauth import actors, crypto
+from triauth import actors
 
-from helpers import enroll_user, flip, honest_run
+from helpers import count_calls, enroll_user, flip, honest_run
 from oracle import ref_h, ref_xor
 
 
@@ -241,42 +240,16 @@ HONEST_HASH_COST = {
 }
 
 
-def hash_calls_in_run(arg, call=run_scenario):
-    """(h, hash_bytes) call counts of call(arg), in total and per actor function, from profile call events.
-
-    Functions are matched by code object, so nothing in the package is
-    replaced while it runs.
-    """
-    counted = {crypto.h.__code__: 0, crypto.hash_bytes.__code__: 1}
-    actor_codes = {getattr(actors, name).__code__: name for name in HONEST_HASH_COST}
-    counts = {name: [0, 0] for name in (*HONEST_HASH_COST, "total")}
-    inside = []
-
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code in counted:
-            counts["total"][counted[code]] += 1
-            if inside:
-                counts[inside[-1]][counted[code]] += 1
-        elif code in actor_codes and event in ("call", "return"):
-            if event == "call":
-                inside.append(actor_codes[code])
-            else:
-                inside.pop()
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        call(arg)
-    finally:
-        sys.setprofile(previous)
-    return {name: tuple(pair) for name, pair in counts.items()}
+def hash_calls(counts, scope=None) -> tuple[int, int]:
+    """(h, hash_bytes) calls of a count_calls Counter, in all or inside the actor function scope."""
+    return tuple(counts[name if scope is None else (scope, name)] for name in ("h", "hash_bytes"))
 
 
 def test_honest_run_hash_cost_per_actor():
-    counts = hash_calls_in_run(ScenarioConfig(kind="honest", seed=1))
-    assert counts.pop("total") == (41, 52)
-    assert counts == HONEST_HASH_COST
+    actor_fns = [getattr(actors, name) for name in HONEST_HASH_COST]
+    counts = count_calls(run_scenario, ScenarioConfig(kind="honest", seed=1), scopes=actor_fns)[1]
+    assert hash_calls(counts) == (41, 52)
+    assert {name: hash_calls(counts, name) for name in HONEST_HASH_COST} == HONEST_HASH_COST
 
 
 # (h, hash_bytes) totals of one seed-0 run of every other kind: fields of its config -> totals
@@ -292,7 +265,7 @@ RUN_HASH_TOTALS = {
 
 @pytest.mark.parametrize("fields, totals", RUN_HASH_TOTALS.values(), ids=RUN_HASH_TOTALS)
 def test_run_hash_totals_per_kind(fields, totals):
-    assert hash_calls_in_run(ScenarioConfig(seed=0, **fields))["total"] == totals
+    assert hash_calls(count_calls(run_scenario, ScenarioConfig(seed=0, **fields))[1]) == totals
 
 
 def test_verify_stops_at_the_first_diverging_line():
@@ -305,15 +278,15 @@ def test_verify_stops_at_the_first_diverging_line():
     first login event, stops it later, but still before CS.
     """
     text = run_scenario(ScenarioConfig(kind="honest", seed=1)).to_jsonl()
-    assert hash_calls_in_run(text, verify_transcript)["total"][1] == 52
+    assert count_calls(verify_transcript, text)[1]["hash_bytes"] == 52
 
     def flipped(nth):
         at = [m.end() for m in re.finditer('"payload":"', text)][nth]
         return text[:at] + "01"[text[at] == "0"] + text[at + 1:]
 
-    assert hash_calls_in_run(flipped(0), verify_transcript)["total"][1] == 11
-    m1_flipped = hash_calls_in_run(flipped(2), verify_transcript)
-    assert 11 < m1_flipped["total"][1] < 52 and m1_flipped["cs_authenticate"] == (0, 0)
+    assert count_calls(verify_transcript, flipped(0))[1]["hash_bytes"] == 11
+    m1_flipped = count_calls(verify_transcript, flipped(2), scopes=[cs_authenticate])[1]
+    assert 11 < m1_flipped["hash_bytes"] < 52 and hash_calls(m1_flipped, "cs_authenticate") == (0, 0)
 
 
 # honest_run attribute -> the digest fields of the record it holds, which is checked when built

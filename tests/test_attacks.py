@@ -2,8 +2,6 @@
 
 import json
 import random
-import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +25,9 @@ from triauth import (
     server_verify,
 )
 
-from triauth import crypto
 from triauth.attacks import GuessResult
 
-from helpers import enroll_user, flip, honest_run
+from helpers import count_calls, enroll_user, flip, honest_run
 from oracle import ref_concat, ref_guess, ref_h, ref_knows, ref_xor
 
 
@@ -42,27 +39,6 @@ def cs():
 @pytest.fixture
 def victim_card(cs):
     return enroll_user(cs, b"alice", b"pw123", BlockRng(777, "user"))
-
-
-def profiled_guess(card, candidates):
-    """guess_credentials' result, with its h and hash_bytes calls counted by code object
-    and its length-prefix packs (one per framed part) counted, under sys.setprofile."""
-    names = {crypto.h.__code__: "h", crypto.hash_bytes.__code__: "hash_bytes"}
-    counts = Counter()
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            counts[names[frame.f_code]] += 1
-        elif event == "c_call" and arg is crypto._pack_len:
-            counts["_pack_len"] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        result = guess_credentials(card, candidates)
-    finally:
-        sys.setprofile(previous)
-    return result, counts
 
 
 class TestExtractCard:
@@ -177,7 +153,7 @@ class TestGuessCredentials:
         else:
             candidates = [(f"user{k}", f"pass{k}") for k in range(3000)]
             candidates[2000], expected = ("alice", "pw123"), 2001
-        result, counts = profiled_guess(victim_card, candidates)
+        result, counts = count_calls(guess_credentials, victim_card, candidates)
         assert (result.user_id, result.password, result.evaluations) == (b"alice", b"pw123", expected)
         distinct_passwords = len({password for _, password in candidates[:expected]})
         assert distinct_passwords == (60 if shape == "cross" else expected)
@@ -235,14 +211,14 @@ class TestGuessMatchesReference:
     def test_first_match_and_count_equal_brute_force(self, inputs):
         card, candidates, lazy = inputs
         given_candidates = (pair for pair in candidates) if lazy else candidates
-        result, counts = profiled_guess(card, given_candidates)
+        result, counts = count_calls(guess_credentials, card, given_candidates)
         as_bytes = [(i.encode("utf-8"), p.encode("utf-8")) for i, p in candidates]
         assert result == GuessResult(*ref_guess(card, as_bytes))
         # Beyond the framings made for no candidates: one per distinct password tried, and
         # one per run of equal identities, whether or not the equal strings are one object.
         tried = candidates[:result.evaluations]
         runs = sum(1 for k, (user_id, _) in enumerate(tried) if k == 0 or user_id != tried[k - 1][0])
-        framings = counts["_pack_len"] - profiled_guess(card, [])[1]["_pack_len"]
+        framings = counts["_pack_len"] - count_calls(guess_credentials, card, [])[1]["_pack_len"]
         assert framings == len({password for _, password in tried}) + runs
 
 
@@ -360,21 +336,9 @@ class TestAdversaryKnowledge:
         k = AdversaryKnowledge()
         k.observe(*run.m1, *run.m2, *run.m3, *run.m4)
         preimage = ref_concat(run.cs_session.h_ab, run.cs_session.nonce_xor)
-        hashes = {crypto.h.__code__, crypto.hash_bytes.__code__}
-        calls = []
-
-        def hook(frame, event, arg):
-            if event == "call" and frame.f_code in hashes:
-                calls.append(frame.f_code.co_name)
-
-        previous = sys.getprofile()
-        sys.setprofile(hook)
-        try:
-            answers = (k.knows(run.card_sk, preimage), k.knows(run.card_sk))
-        finally:
-            sys.setprofile(previous)
+        answers, counts = count_calls(lambda: (k.knows(run.card_sk, preimage), k.knows(run.card_sk)))
         assert answers == (False, False)
-        assert calls == ["hash_bytes"]
+        assert (counts["h"], counts["hash_bytes"]) == (0, 1)
 
 
 # Observed values of the lengths that matter to the closure: empty, one byte,

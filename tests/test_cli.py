@@ -75,18 +75,23 @@ class TestRunCommand:
     def test_mutation_without_target_is_usage_error(self, capsys):
         assert run_cli("run", "mutation", "--seed", "1") == 2
 
-    @pytest.mark.parametrize("kind, flags", [
-        ("honest", ["--mutate-field", "m1.f_i"]),
-        ("masquerade", ["--mutate-field", "m4.v_i"]),
-        ("guess", ["--dict", "DICT", "--mutate-field", "m1.f_i"]),
-        ("replay", ["--dict", "DICT"]),
-        ("honest", ["--dict", "DICT", "--cross"]),
-        ("mutation", ["--mutate-field", "m1.f_i", "--dict", "DICT"]),
+    @pytest.mark.parametrize("kind, flags, flag, valid_kind", [
+        ("honest", ["--mutate-field", "m1.f_i"], "--mutate-field", "mutation"),
+        ("masquerade", ["--mutate-field", "m4.v_i"], "--mutate-field", "mutation"),
+        ("guess", ["--dict", "DICT", "--mutate-field", "m1.f_i"], "--mutate-field", "mutation"),
+        ("replay", ["--dict", "DICT"], "--dict", "guess"),
+        ("replay", ["--dict", "/nonexistent.tsv"], "--dict", "guess"),
+        ("replay", ["--cross"], "--cross", "guess"),
+        ("honest", ["--dict", "DICT", "--cross"], "--dict", "guess"),
+        ("mutation", ["--mutate-field", "m1.f_i", "--dict", "DICT"], "--dict", "guess"),
+        ("honest", ["--attacker-id", "eve"], "--attacker-id", "masquerade"),
+        ("guess", ["--dict", "DICT", "--attacker-password", "x"], "--attacker-password", "masquerade"),
     ])
-    def test_flag_for_another_kind_is_usage_error(self, kind, flags, dict_file, capsys):
-        flags = [dict_file if flag == "DICT" else flag for flag in flags]
+    def test_flag_for_another_kind_is_usage_error(self, kind, flags, flag, valid_kind, dict_file, capsys):
+        # rejected by the flag's own name, before any file it names is read
+        flags = [dict_file if f == "DICT" else f for f in flags]
         assert run_cli("run", kind, "--seed", "1", *flags) == 2
-        assert "is only valid for" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {flag} is only valid for {valid_kind} scenarios\n"
 
     def test_unknown_kind_is_usage_error(self, capsys):
         assert run_cli("run", "bogus") == 2

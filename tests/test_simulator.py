@@ -3,6 +3,7 @@
 import json
 import re
 import typing
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,10 +33,10 @@ from triauth import (
     verify_transcript,
 )
 from triauth import simulator
-from triauth.attacks import AttackReport
-from triauth.simulator import CheckRecord, PartyOutcome, ScenarioResult
+from triauth.simulator import AttackReport, CheckRecord, PartyOutcome, ScenarioResult
 
 from helpers import honest_run
+from make_golden import cases
 
 
 SMALL_DICT = (("bob", "x1"), ("alice", "pw123"), ("eve", "z9"))
@@ -316,23 +317,47 @@ class TestLinePlanProperty:
         assert codec.line(record) == encoder.encode(reference_encode(record))
 
 
-RENAMED = {"session_key": "sk"}  # record field -> its JSON key, where they differ
 # each record class's "record" tag; the config is written without one
 TAGS = {ChannelEvent: "event", CheckRecord: "check", PartyOutcome: "outcome", AttackReport: "report",
         ScenarioResult: "result"}
 
 
 def reference_encode(record) -> dict:
-    """The JSON object of a record, written field by field without the codecs: bytes as lowercase hex, a
-    renamed field under its JSON key, an outcome's None fields left out and the record's tag."""
+    """The JSON object of a record, written field by field without the codecs: each field under its name,
+    bytes as lowercase hex, a tagged record's None fields left out and its tag."""
     data = {}
     for name, value in zip(record._fields, record):
-        if value is None and type(record) is PartyOutcome:
+        if value is None and type(record) in TAGS:
             continue
-        data[RENAMED.get(name, name)] = value.hex() if type(value) is bytes else value
+        data[name] = value.hex() if type(value) is bytes else value
     if type(record) in TAGS:
         data["record"] = TAGS[type(record)]
     return data
+
+
+@cache
+def golden_written_records() -> list:
+    """(JSON object, record) of every record each golden case's transcript writes, in order; the config's
+    object is the one inside the header."""
+    pairs = []
+    for cfg in cases().values():
+        t = run_scenario(cfg)
+        header, *lines = map(json.loads, t.to_jsonl().split("\n")[:-1])
+        records = [*t.events, *t.checks, *t.outcomes, *([t.report] if t.report else []), t.result]
+        pairs += [(header["config"], t.config), *zip(lines, records, strict=True)]
+    return pairs
+
+
+@pytest.mark.parametrize("cls", [ScenarioConfig, *TAGS], ids=lambda cls: TAGS.get(cls, "config"))
+def test_line_keys_are_the_record_field_names(cls):
+    """A line's keys are its record's field names, plus "record" on a tagged line, minus each None field of a
+    tagged line; the config, inside the header, writes a None field as null."""
+    tagged = cls in TAGS
+    written = [(data, record) for data, record in golden_written_records() if type(record) is cls]
+    assert written
+    for data, record in written:
+        fields = {name for name, value in zip(cls._fields, record) if not (tagged and value is None)}
+        assert sorted(data) == sorted(fields | ({"record"} if tagged else set()))
 
 
 def field_classes(field_type) -> tuple:
@@ -345,12 +370,6 @@ def reference_decode(codec, data: dict):
     kwargs = dict(data)
     if codec.tag is not None:
         del kwargs["record"]
-    for name, key in RENAMED.items():
-        if name in codec.cls._fields:
-            if name in kwargs:
-                raise TypeError(f"unexpected key {name!r}")
-            if key in kwargs:
-                kwargs[name] = kwargs.pop(key)
     classes = {name: field_classes(t) for name, t in codec.cls.__annotations__.items()}
     for name, allowed in classes.items():
         if bytes in allowed and kwargs.get(name) is not None:
