@@ -28,9 +28,7 @@ from .actors import (
     CsSession,
     LocalCheckFailed,
     ServerAuthFailed,
-    ServerResult,
     ServerSecrets,
-    ServerSession,
     SmartCard,
     UserAuthFailed,
     card_login,

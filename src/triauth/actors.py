@@ -156,12 +156,6 @@ class CardSession(NamedTuple):
     n_i1: bytes
 
 
-class ServerSession(NamedTuple):
-    """Server-side state kept between sending M2 and checking M3."""
-
-    n_i2: bytes
-
-
 class CsSession(NamedTuple):
     """Everything the control server derived while authenticating one login."""
 
@@ -172,12 +166,6 @@ class CsSession(NamedTuple):
     n_i3: bytes
     h_ab: bytes
     nonce_xor: bytes
-    session_key: bytes
-
-
-class ServerResult(NamedTuple):
-    """The server's session key."""
-
     session_key: bytes
 
 
@@ -229,8 +217,8 @@ def card_login(
     return M1(f_i=f_i, g_i=g_i, p_ij=p_ij, cid_i=cid_i), CardSession(a_i=a_i, b_i=b_i, n_i1=n_i1)
 
 
-def server_forward(secrets: ServerSecrets, m1: M1, rng: BlockRng) -> tuple[M2, ServerSession]:
-    """Forward a received M1's fields with the server's own masked nonce and proof.
+def server_forward(secrets: ServerSecrets, m1: M1, rng: BlockRng) -> tuple[M2, bytes]:
+    """Forward a received M1's fields with the server's own masked nonce and proof; return M2 and the nonce n_i2.
 
     The server performs no check on M1; it cannot, since every M1 field is
     masked with values only the card and the control server know.
@@ -238,7 +226,7 @@ def server_forward(secrets: ServerSecrets, m1: M1, rng: BlockRng) -> tuple[M2, S
     n_i2 = rng.next_block()
     k_i = xor(secrets.k_sid_y, n_i2)
     m_i = h(secrets.k_x_y, n_i2)
-    return M2(*m1, secrets.sid, k_i, m_i), ServerSession(n_i2=n_i2)
+    return M2(*m1, secrets.sid, k_i, m_i), n_i2
 
 
 def cs_authenticate(cs: ControlServer, m2: M2, rng: BlockRng) -> tuple[M3, CsSession]:
@@ -272,19 +260,19 @@ def cs_authenticate(cs: ControlServer, m2: M2, rng: BlockRng) -> tuple[M3, CsSes
     return m3, session
 
 
-def server_verify(secrets: ServerSecrets, session: ServerSession, m3: M3) -> tuple[M4, ServerResult]:
-    """Check the control server's response and pass the confirmation on.
+def server_verify(secrets: ServerSecrets, n_i2: bytes, m3: M3) -> tuple[M4, bytes]:
+    """Check the control server's response; return the confirmation to pass on and the server's session key.
 
     The server only ever learns the combined value n_i1 XOR n_i3, never
     n_i1 itself; the session key needs only the three-way XOR, so that is
     enough.  Raises CSAuthFailed on a v_i mismatch.
     """
-    n1_xor_n3 = xor(m3.q_i, h(secrets.sid, session.n_i2))
-    nonce_xor = xor(n1_xor_n3, session.n_i2)
+    n1_xor_n3 = xor(m3.q_i, h(secrets.sid, n_i2))
+    nonce_xor = xor(n1_xor_n3, n_i2)
     h_ab = xor(m3.r_i, h(nonce_xor))
     if h(h_ab, h(nonce_xor)) != m3.v_i:
         raise CSAuthFailed("control server response rejected by server")
-    return M4(v_i=m3.v_i, t_i=m3.t_i), ServerResult(session_key=h(h_ab, nonce_xor))
+    return M4(v_i=m3.v_i, t_i=m3.t_i), h(h_ab, nonce_xor)
 
 
 def card_verify(session: CardSession, m4: M4) -> bytes:

@@ -14,7 +14,6 @@ final result record.
 """
 
 import json
-from json.decoder import JSONDecodeError
 from json.encoder import encode_basestring_ascii
 from itertools import product
 from typing import NamedTuple, get_args, get_origin
@@ -57,29 +56,26 @@ WIRE_FIELDS = {kind: cls._fields for kind, cls in WIRE_MESSAGES.items()}
 
 # --- login exchange ------------------------------------------------------
 
-def _keyed(msg, state):
-    return msg, state, state.session_key
-
-
 # The login exchange in order; each message's sender is the previous one's
 # receiver.  A row is (message kind, receiver, actor call, checks).  The actor
 # call maps (run, each receiver's session state, message) to (next message,
-# the receiver's new state, its session key or None).  Each check, in the
+# the receiver's new state).  A receiver with checks ends with its session key
+# as its state, or, for CS, with a state that holds it.  Each check, in the
 # order the actor makes them, is (name, actor error that fails it, where a
 # flipped byte is first caught by it): a message name covers each of its wire
 # fields, and a message.field entry overrides that for one field.  The M1
 # fields that M2 forwards are caught where M1's own are.  t_i crosses the
 # server unchecked inside M3 and is first verified by the card.
 _STEPS = (
-    ("M1", "server", lambda run, states, m1: (*server_forward(run.secrets, m1, run.rng_server), None), ()),
-    ("M2", "cs", lambda run, states, m2: _keyed(*cs_authenticate(run.cs, m2, run.rng_cs)), (
+    ("M1", "server", lambda run, states, m1: server_forward(run.secrets, m1, run.rng_server), ()),
+    ("M2", "cs", lambda run, states, m2: cs_authenticate(run.cs, m2, run.rng_cs), (
         ("cs_verifies_server", ServerAuthFailed, ("M2",)),
         ("cs_verifies_user", UserAuthFailed, ("M1", *(f"M2.{name}" for name in M1._fields))),
     )),
-    ("M3", "server", lambda run, states, m3: _keyed(*server_verify(run.secrets, states["server"], m3)), (
+    ("M3", "server", lambda run, states, m3: server_verify(run.secrets, states["server"], m3), (
         ("server_verifies_cs", CSAuthFailed, ("M3",)),
     )),
-    ("M4", "card", lambda run, states, m4: (None, None, card_verify(states["card"], m4)), (
+    ("M4", "card", lambda run, states, m4: (None, card_verify(states["card"], m4)), (
         ("card_verifies_cs", CSAuthFailed, ("M4", "M3.t_i")),
     )),
 )
@@ -381,15 +377,9 @@ _RANK = {tag: rank for rank, tag in enumerate(_BY_TAG)}  # the order in which to
 
 
 def _loads(line: str, lineno: int) -> dict:
-    """The JSON object on one line, read by the C scanner past any JSON whitespace; an error's position counts
-    from the start of the line, as JSONDecoder.decode gives it."""
+    """The JSON object on one line, past any JSON whitespace around it."""
     try:
-        try:
-            record, end = _JSON_IN.scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
-        except StopIteration as exc:
-            raise JSONDecodeError("Expecting value", line, exc.value) from None
-        if end != len(line) and line[end:].strip(_JSON_SPACE):
-            raise JSONDecodeError("Extra data", line, len(line) - len(line[end:].lstrip(_JSON_SPACE)))
+        record = _JSON_IN.decode(line)
     except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
         raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
     if not isinstance(record, dict):
@@ -628,7 +618,7 @@ class _Run:
                 return keys
             failed = None
             try:
-                msg, states[receiver], key = act(self, states, msg)
+                msg, states[receiver] = act(self, states, msg)
             except aborts as exc:
                 failed = type(exc)
             for name, abort, _ in checks:
@@ -636,7 +626,8 @@ class _Run:
                 if abort is failed:
                     self.outcomes.append(PartyOutcome(session, party, None, abort.__name__))
                     return keys
-            if key is not None:
+            if checks:
+                key = getattr(states[receiver], "session_key", states[receiver])
                 self.outcomes.append(PartyOutcome(session, party, key))
                 keys[receiver] = key
             sender = wire_receiver

@@ -13,9 +13,7 @@ from triauth import (
     CardSession,
     ControlServer,
     CsSession,
-    ServerResult,
     ServerSecrets,
-    ServerSession,
     SmartCard,
     card_login,
     card_verify,
@@ -38,11 +36,11 @@ class HonestRun:
     m1: M1
     card_session: CardSession
     m2: M2
-    server_session: ServerSession
+    n_i2: bytes
     m3: M3
     cs_session: CsSession
     m4: M4
-    server_result: ServerResult
+    server_sk: bytes
     card_sk: bytes
 
 
@@ -67,9 +65,9 @@ def honest_run(
     secrets = register_server(cs, sid)
     card = enroll_user(cs, user_id, password, rng_user)
     m1, card_session = card_login(card, user_id, password, sid, rng_user)
-    m2, server_session = server_forward(secrets, m1, rng_server)
+    m2, n_i2 = server_forward(secrets, m1, rng_server)
     m3, cs_session = cs_authenticate(cs, m2, rng_cs)
-    m4, server_result = server_verify(secrets, server_session, m3)
+    m4, server_sk = server_verify(secrets, n_i2, m3)
     card_sk = card_verify(card_session, m4)
     return HonestRun(
         cs=cs,
@@ -78,11 +76,11 @@ def honest_run(
         m1=m1,
         card_session=card_session,
         m2=m2,
-        server_session=server_session,
+        n_i2=n_i2,
         m3=m3,
         cs_session=cs_session,
         m4=m4,
-        server_result=server_result,
+        server_sk=server_sk,
         card_sk=card_sk,
     )
 

@@ -69,13 +69,13 @@ def test_verification_math_oracle():
     for seed in range(200):
         user_id, password, sid = random_credentials(seed)
         run = honest_run(seed=seed, user_id=user_id.encode(), password=password.encode(), sid=sid.encode())
-        nonce_xor = ref_xor(ref_xor(run.card_session.n_i1, run.server_session.n_i2), run.cs_session.n_i3)
+        nonce_xor = ref_xor(ref_xor(run.card_session.n_i1, run.n_i2), run.cs_session.n_i3)
         ok = (
             run.cs_session.a_i == run.card_session.a_i
             and run.cs_session.b_i == run.card_session.b_i
             and run.cs_session.n_i1 == run.card_session.n_i1
             # the server's key hashes the h(a_i || b_i) it recovered from r_i
-            and run.server_result.session_key == ref_h(ref_h(run.card_session.a_i, run.card_session.b_i), nonce_xor)
+            and run.server_sk == ref_h(ref_h(run.card_session.a_i, run.card_session.b_i), nonce_xor)
         )
         if not ok:
             bad += 1
@@ -145,7 +145,7 @@ def _expect_abort(run, message_kind, field, trial):
         cs_authenticate(run.cs, bad, BlockRng(trial, "cs-mut"))
     elif message_kind == "M3":
         bad = run.m3._replace(**{field: _flip_random_byte(getattr(run.m3, field), rnd)})
-        m4, _ = server_verify(run.secrets, run.server_session, bad)
+        m4, _ = server_verify(run.secrets, run.n_i2, bad)
         # t_i is not covered by the server's check; the card catches it
         card_verify(run.card_session, m4)
     else:  # M4

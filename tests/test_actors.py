@@ -124,8 +124,8 @@ class TestCardLogin:
 class TestServerForward:
     def test_fields_match_reference(self, cs):
         run = honest_run(seed=5)
-        assert ref_xor(run.m2.k_i, run.secrets.k_sid_y) == run.server_session.n_i2
-        assert run.m2.m_i == ref_h(run.secrets.k_x_y, run.server_session.n_i2)
+        assert ref_xor(run.m2.k_i, run.secrets.k_sid_y) == run.n_i2
+        assert run.m2.m_i == ref_h(run.secrets.k_x_y, run.n_i2)
 
     def test_m1_passes_through_unchanged(self, cs):
         run = honest_run(seed=6)
@@ -142,7 +142,7 @@ class TestCsAuthenticate:
         assert run.cs_session.a_i == run.card_session.a_i
         assert run.cs_session.b_i == run.card_session.b_i
         assert run.cs_session.n_i1 == run.card_session.n_i1
-        assert run.cs_session.n_i2 == run.server_session.n_i2
+        assert run.cs_session.n_i2 == run.n_i2
 
     def test_flipped_server_proof_rejected(self):
         run = honest_run(seed=9)
@@ -160,20 +160,20 @@ class TestCsAuthenticate:
 class TestServerVerify:
     def test_server_key_equals_cs_key(self):
         run = honest_run(seed=11)
-        assert run.server_result.session_key == run.cs_session.session_key
+        assert run.server_sk == run.cs_session.session_key
 
     def test_recovered_hash_matches_direct_hash(self):
         # the server's key hashes the h(a_i || b_i) it recovered from r_i
         run = honest_run(seed=12)
-        nonce_xor = ref_xor(ref_xor(run.card_session.n_i1, run.server_session.n_i2), run.cs_session.n_i3)
+        nonce_xor = ref_xor(ref_xor(run.card_session.n_i1, run.n_i2), run.cs_session.n_i3)
         h_ab = ref_h(run.card_session.a_i, run.card_session.b_i)
-        assert run.server_result.session_key == ref_h(h_ab, nonce_xor)
+        assert run.server_sk == ref_h(h_ab, nonce_xor)
 
     def test_flipped_r_rejected(self):
         run = honest_run(seed=13)
         bad = run.m3._replace(r_i=flip(run.m3.r_i, 5))
         with pytest.raises(CSAuthFailed):
-            server_verify(run.secrets, run.server_session, bad)
+            server_verify(run.secrets, run.n_i2, bad)
 
     def test_m4_is_a_pass_through(self):
         run = honest_run(seed=14)
@@ -183,7 +183,7 @@ class TestServerVerify:
 class TestCardVerify:
     def test_three_way_key_agreement(self):
         run = honest_run(seed=15)
-        assert run.card_sk == run.server_result.session_key == run.cs_session.session_key
+        assert run.card_sk == run.server_sk == run.cs_session.session_key
 
     def test_flipped_t_rejected(self):
         run = honest_run(seed=16)
@@ -199,7 +199,7 @@ class TestCardVerify:
 
     def test_nonce_mask_identity(self):
         run = honest_run(seed=19)
-        expected = ref_xor(run.server_session.n_i2, run.cs_session.n_i3)
+        expected = ref_xor(run.n_i2, run.cs_session.n_i3)
         recovered = ref_xor(
             run.m4.t_i,
             ref_h(run.card_session.a_i, run.card_session.b_i, run.card_session.n_i1),
@@ -214,7 +214,7 @@ names = st.text(min_size=1, max_size=12).map(lambda s: s.encode("utf-8"))
 @given(user_id=names, password=names, sid=names, seed=st.integers(0, 10_000))
 def test_key_agreement_for_any_credentials(user_id, password, sid, seed):
     run = honest_run(seed=seed, user_id=user_id, password=password, sid=sid)
-    assert run.card_sk == run.server_result.session_key == run.cs_session.session_key
+    assert run.card_sk == run.server_sk == run.cs_session.session_key
 
 
 @settings(max_examples=20, deadline=None)
@@ -338,7 +338,7 @@ class TestRecordChecks:
         with pytest.raises(ValueError, match="^sid must be non-empty$"):
             BUILDS[build](record, {"sid": b"", last: getattr(record, last)[:31]})
 
-    @pytest.mark.parametrize("attr", ["card_session", "server_session", "cs_session", "server_result", *CHECKED_RECORDS])
+    @pytest.mark.parametrize("attr", ["card_session", "cs_session", *CHECKED_RECORDS])
     def test_setting_a_field_raises(self, attr):
         record = getattr(honest_run(seed=20), attr)
         with pytest.raises(AttributeError):

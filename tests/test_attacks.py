@@ -241,11 +241,11 @@ class TestForgeLogin:
 
     def test_forged_run_completes_with_shared_key(self):
         cs, secrets, m1, session = self._forged_flow(seed=2)
-        m2, server_session = server_forward(secrets, m1, BlockRng(2, "server"))
+        m2, n_i2 = server_forward(secrets, m1, BlockRng(2, "server"))
         m3, cs_session = cs_authenticate(cs, m2, BlockRng(2, "cs2"))
-        m4, server_result = server_verify(secrets, server_session, m3)
+        m4, server_sk = server_verify(secrets, n_i2, m3)
         attacker_sk = card_verify(session, m4)
-        assert attacker_sk == server_result.session_key == cs_session.session_key
+        assert attacker_sk == server_sk == cs_session.session_key
 
     def test_forgery_differs_from_victims_honest_login(self):
         cs, secrets, m1, _ = self._forged_flow(seed=9)
@@ -274,11 +274,11 @@ class TestReplayLogin:
         run = honest_run(seed=5)
         replayed = run.m1
         # a brand-new session: fresh server and CS nonces
-        m2, server_session = server_forward(run.secrets, replayed, BlockRng(50, "server"))
+        m2, n_i2 = server_forward(run.secrets, replayed, BlockRng(50, "server"))
         m3, cs_session = cs_authenticate(run.cs, m2, BlockRng(50, "cs2"))
-        m4, server_result = server_verify(run.secrets, server_session, m3)
+        m4, server_sk = server_verify(run.secrets, n_i2, m3)
         assert m4 is not None
-        assert server_result.session_key == cs_session.session_key
+        assert server_sk == cs_session.session_key
 
     def test_mutated_replay_rejected(self):
         run = honest_run(seed=6)
@@ -321,7 +321,7 @@ class TestAdversaryKnowledge:
         run = honest_run(seed=7)
         session = run.cs_session
         preimage = ref_concat(session.h_ab, session.nonce_xor)
-        assert ref_h(preimage) == run.server_result.session_key == run.card_sk
+        assert ref_h(preimage) == run.server_sk == run.card_sk
         k = AdversaryKnowledge()
         k.observe(run.m1.f_i, run.m1.g_i, run.m1.p_ij, run.m1.cid_i)
         k.observe(run.m2.sid, run.m2.k_i, run.m2.m_i)

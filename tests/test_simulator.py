@@ -4,6 +4,7 @@ import json
 import re
 import typing
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +36,7 @@ from triauth import (
 from triauth import simulator
 from triauth.simulator import AttackReport, CheckRecord, PartyOutcome, ScenarioResult
 
-from helpers import honest_run
+from helpers import flip, honest_run
 from make_golden import cases
 
 
@@ -532,6 +533,24 @@ class TestMutationScenario:
         expected_abort, expected_party = MUTATION_TARGETS[target][2], MUTATION_TARGETS[target][3]
         aborted = [o for o in t.outcomes if o.abort == expected_abort and o.party == expected_party]
         assert aborted
+
+    def test_every_byte_of_every_target_aborts_where_the_table_says(self, monkeypatch):
+        """Every byte of each target, flipped by each of three masks on every tap setting that reaches it, is
+        first caught by the party and abort that MUTATION_TARGETS names."""
+        honest = honest_run(seed=0)
+        flips, unexpected = [], []  # each run's (position, mask), appended before it runs
+        monkeypatch.setattr(simulator, "flip_byte", lambda data, rng: flip(data, *flips[-1]))
+        for target, (kind, field, abort, party) in MUTATION_TARGETS.items():
+            size = len(getattr(getattr(honest, kind.lower()), field))
+            for tap in (True, False) if kind in ("M1", "M4") else (True,):
+                for pos, mask in product(range(size), (0x01, 0x80, 0xFF)):
+                    flips.append((pos, mask))
+                    t = run_scenario(config("mutation", seed=0, mutation_target=target, tap_server_cs_link=tap))
+                    first = next(((o.party, o.abort) for o in t.outcomes if o.abort is not None), None)
+                    if first != (party, abort) or not t.result.expectations_met:
+                        unexpected.append((target, tap, pos, mask, first))
+        assert unexpected == []
+        assert len(flips) == 2136
 
     def test_modified_event_marked(self):
         t = run_scenario(config("mutation", seed=17, mutation_target="m3.v_i"))
