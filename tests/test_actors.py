@@ -343,3 +343,9 @@ class TestRecordChecks:
         record = getattr(honest_run(seed=20), attr)
         with pytest.raises(AttributeError):
             setattr(record, record._fields[-1], b"\0" * 32)
+
+    @pytest.mark.parametrize("attr", ["n_i2", "server_sk"])
+    def test_server_state_is_an_immutable_digest(self, attr):
+        # the server keeps plain bytes between steps, so no later step can change them in place
+        value = getattr(honest_run(seed=20), attr)
+        assert type(value) is bytes and len(value) == 32
