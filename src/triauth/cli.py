@@ -16,18 +16,19 @@ from .simulator import (
     ConfigError,
     ScenarioConfig,
     Transcript,
+    _READERS,
     run_scenario,
     verify_transcript,
 )
 from .attacks import read_dictionary_file
 
-# dest of each flag that only one kind reads -> (the flag, that kind)
+# dest of each flag that only some kinds read -> (the flag, the config field it sets)
 _KIND_FLAGS = {
-    "attacker_id": ("--attacker-id", "masquerade"),
-    "attacker_password": ("--attacker-password", "masquerade"),
-    "dict_path": ("--dict", "guess"),
-    "cross": ("--cross", "guess"),
-    "mutation_target": ("--mutate-field", "mutation"),
+    "attacker_id": ("--attacker-id", "attacker_id"),
+    "attacker_password": ("--attacker-password", "attacker_password"),
+    "dict_path": ("--dict", "dictionary"),
+    "cross": ("--cross", "dictionary"),
+    "mutation_target": ("--mutate-field", "mutation_target"),
 }
 
 
@@ -68,13 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     """The run's config from the flags given; a flag only another kind reads is rejected before any file is read."""
-    for dest, (flag, kind) in _KIND_FLAGS.items():
-        if getattr(args, dest) not in (None, False) and args.kind != kind:
-            raise ConfigError(f"{flag} is only valid for {kind} scenarios")
-    if args.kind == "guess" and not args.dict_path:
-        raise ConfigError("guess scenario requires --dict")
-    if args.kind == "mutation" and not args.mutation_target:
-        raise ConfigError("mutation scenario requires --mutate-field")
+    for dest, (flag, field) in _KIND_FLAGS.items():
+        value, reads = getattr(args, dest), args.kind in _READERS[field]
+        if value not in (None, False) and not reads:
+            raise ConfigError(f"{flag} is only valid for {' or '.join(_READERS[field])} scenarios")
+        if value in (None, "") and reads and ScenarioConfig._field_defaults[field] is None:
+            raise ConfigError(f"{args.kind} scenario requires {flag}")
     given = {name: value for name in ScenarioConfig._fields if (value := getattr(args, name, None)) is not None}
     return ScenarioConfig(
         **given,

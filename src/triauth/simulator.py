@@ -165,36 +165,33 @@ class ScenarioConfig(NamedTuple):
             str(self.seed)  # BlockRng keys every stream by the seed's decimal text
         except ValueError:
             raise ConfigError("seed has too many digits to write in decimal") from None
-        for name in ("user_id", "password", "sid", "attacker_id", "attacker_password"):
-            value = getattr(self, name)
-            optional = name.startswith("attacker") and self.kind != "masquerade"
-            if not isinstance(value, str) or not (value or optional):
-                raise ConfigError(f"{name} must be a non-empty string")
-            if not (value.isascii() or _utf8_ok(value)):
-                raise ConfigError(f"{name} is not valid UTF-8: {value!r}")
         if not isinstance(self.tap_server_cs_link, bool):
             raise ConfigError("tap_server_cs_link must be a boolean")
-        if self.kind == "guess":
-            if not self.dictionary:
-                raise ConfigError("guess scenario requires a dictionary")
-            for entry in self.dictionary:
-                if not isinstance(entry, tuple) or len(entry) != 2:
-                    raise ConfigError(f"bad dictionary entry: {entry!r}")
-                ident, password = entry
-                if not (isinstance(ident, str) and ident and isinstance(password, str) and password):
-                    raise ConfigError(f"bad dictionary entry: {entry!r}")
-                if not ((ident.isascii() and password.isascii()) or (_utf8_ok(ident) and _utf8_ok(password))):
-                    raise ConfigError(f"dictionary entry is not valid UTF-8: {entry!r}")
-        elif self.dictionary is not None:
-            raise ConfigError("dictionary is only valid for guess scenarios")
-        if self.kind == "mutation":
-            if not isinstance(self.mutation_target, str) or self.mutation_target not in MUTATION_TARGETS:
-                raise ConfigError(f"unknown mutation target: {self.mutation_target!r}")
-            message_kind = MUTATION_TARGETS[self.mutation_target][0]
-            if message_kind in _SERVER_CS_KINDS and not self.tap_server_cs_link:
-                raise ConfigError(f"{self.mutation_target} is not on a tapped link")
-        elif self.mutation_target is not None:
-            raise ConfigError("mutation_target is only valid for mutation scenarios")
+        # Every kind reads the victim's fields; one that only some kinds read must keep its default elsewhere.
+        for name in ("user_id", "password", "sid", *_READERS):
+            value = getattr(self, name)
+            if self.kind not in _READERS.get(name, KINDS):
+                if value != self._field_defaults[name]:
+                    raise ConfigError(f"{name} is only valid for {' or '.join(_READERS[name])} scenarios")
+            elif name == "dictionary":
+                if not value:
+                    raise ConfigError("dictionary is empty" if value is not None else
+                                      f"{self.kind} scenario requires a dictionary")
+                for entry in value:
+                    ident, password = entry if isinstance(entry, tuple) and len(entry) == 2 else (None, None)
+                    if not (isinstance(ident, str) and ident and isinstance(password, str) and password):
+                        raise ConfigError(f"bad dictionary entry: {entry!r}")
+                    if not ((ident.isascii() and password.isascii()) or (_utf8_ok(ident) and _utf8_ok(password))):
+                        raise ConfigError(f"dictionary entry is not valid UTF-8: {entry!r}")
+            elif name == "mutation_target":
+                if not isinstance(value, str) or value not in MUTATION_TARGETS:
+                    raise ConfigError(f"unknown mutation target: {value!r}")
+                if MUTATION_TARGETS[value][0] in _SERVER_CS_KINDS and not self.tap_server_cs_link:
+                    raise ConfigError(f"{value} is not on a tapped link")
+            elif not isinstance(value, str) or not value:
+                raise ConfigError(f"{name} must be a non-empty string")
+            elif not (value.isascii() or _utf8_ok(value)):
+                raise ConfigError(f"{name} is not valid UTF-8: {value!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -535,9 +532,7 @@ class _Run:
     def __init__(self, cfg: ScenarioConfig, expected=None):
         self.cfg = cfg
         self.expected = expected
-        self.target_kind = self.target_field = None
-        if cfg.kind == "mutation":
-            self.target_kind, self.target_field = MUTATION_TARGETS[cfg.mutation_target][:2]
+        self.target_kind, self.target_field = MUTATION_TARGETS.get(cfg.mutation_target, (None, None))[:2]
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
@@ -722,15 +717,19 @@ def _mutation(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     return ScenarioResult(abort == (expected_party, expected_abort), detail), None, None
 
 
-# kind -> scenario; each returns its result and its attack's work and recovered values, or None, None.
+# kind -> (scenario, the config fields it reads beyond kind, seed, the victim's credentials, sid and tap).
+# Each scenario returns its result and its attack's work and recovered values, or None, None.
 _SCENARIOS = {
-    "honest": _honest,
-    "replay": _replay,
-    "masquerade": _masquerade,
-    "guess": _guess,
-    "mutation": _mutation,
+    "honest": (_honest, ()),
+    "replay": (_replay, ()),
+    "masquerade": (_masquerade, ("attacker_id", "attacker_password")),
+    "guess": (_guess, ("dictionary",)),
+    "mutation": (_mutation, ("mutation_target",)),
 }
 KINDS = tuple(_SCENARIOS)
+# config field that only some kinds read -> those kinds
+_READERS = {name: tuple(kind for kind in KINDS if name in _SCENARIOS[kind][1])
+            for _, names in _SCENARIOS.values() for name in names}
 
 
 def run_scenario(cfg: ScenarioConfig) -> Transcript:
@@ -744,7 +743,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
 
 def _play(run: _Run) -> Transcript:
-    result, work, recovered = _SCENARIOS[run.cfg.kind](run)
+    result, work, recovered = _SCENARIOS[run.cfg.kind][0](run)
     report = None if work is None else AttackReport(run.cfg.kind, result.expectations_met, work, recovered)
     return Transcript(
         config=run.cfg,

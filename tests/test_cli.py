@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triauth import KINDS, MUTATION_TARGETS, ScenarioConfig, run_scenario, verify_transcript
+from triauth import KINDS, MUTATION_TARGETS, ConfigError, ScenarioConfig, run_scenario, verify_transcript
 from triauth.cli import main, summarize
 
 from make_golden import cases
@@ -30,6 +30,19 @@ def dict_file(tmp_path):
 
 def run_cli(*args):
     return main(list(args))
+
+
+# each flag that only some kinds read -> (its arguments, the config field it sets, a value it gives that field)
+KIND_FLAGS = {
+    "--attacker-id": (["--attacker-id", "eve"], "attacker_id", "eve"),
+    "--attacker-password": (["--attacker-password", "x"], "attacker_password", "x"),
+    "--dict": (["--dict", "DICT"], "dictionary", (("bob", "x1"), ("alice", "pw123"), ("eve", "z9"))),
+    "--cross": (["--cross"], "dictionary", (("bob", "x1"), ("alice", "pw123"), ("eve", "z9"))),
+    "--mutate-field": (["--mutate-field", "m1.f_i"], "mutation_target", "m1.f_i"),
+}
+# what a kind needs to run at all, as flags and as config fields
+RUNNABLE_FLAGS = {"guess": ["--dict", "DICT"], "mutation": ["--mutate-field", "m4.v_i"]}
+RUNNABLE_FIELDS = {"guess": {"dictionary": (("alice", "pw123"),)}, "mutation": {"mutation_target": "m4.v_i"}}
 
 
 class TestRunCommand:
@@ -75,6 +88,12 @@ class TestRunCommand:
     def test_mutation_without_target_is_usage_error(self, capsys):
         assert run_cli("run", "mutation", "--seed", "1") == 2
 
+    def test_empty_dictionary_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.tsv"
+        path.write_text("", encoding="utf-8")
+        assert run_cli("run", "guess", "--seed", "1", "--dict", str(path)) == 2
+        assert capsys.readouterr().err == "error: dictionary is empty\n"
+
     @pytest.mark.parametrize("kind, flags, flag, valid_kind", [
         ("honest", ["--mutate-field", "m1.f_i"], "--mutate-field", "mutation"),
         ("masquerade", ["--mutate-field", "m4.v_i"], "--mutate-field", "mutation"),
@@ -92,6 +111,24 @@ class TestRunCommand:
         flags = [dict_file if f == "DICT" else f for f in flags]
         assert run_cli("run", kind, "--seed", "1", *flags) == 2
         assert capsys.readouterr().err == f"error: {flag} is only valid for {valid_kind} scenarios\n"
+
+    @pytest.mark.parametrize("flag", KIND_FLAGS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_flag_is_rejected_exactly_where_its_config_field_is(self, kind, flag, dict_file, capsys):
+        # the flag is "only valid for" the kinds the config names when its field is set on another kind
+        args, field, value = KIND_FLAGS[flag]
+        try:
+            ScenarioConfig(kind=kind, seed=1, **RUNNABLE_FIELDS.get(kind, {}) | {field: value})
+            config_kinds = None
+        except ConfigError as exc:
+            config_kinds = str(exc).partition(f"{field} is only valid for ")[2] or None
+        argv = [dict_file if arg == "DICT" else arg for arg in [*RUNNABLE_FLAGS.get(kind, []), *args]]
+        code = run_cli("run", kind, "--seed", "1", *argv)
+        err = capsys.readouterr().err
+        if config_kinds is None:
+            assert code in (0, 1) and err == ""
+        else:
+            assert code == 2 and err == f"error: {flag} is only valid for {config_kinds}\n"
 
     def test_unknown_kind_is_usage_error(self, capsys):
         assert run_cli("run", "bogus") == 2

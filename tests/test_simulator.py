@@ -94,6 +94,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="guess", seed=1).validate()
 
+    def test_empty_dictionary_has_its_own_message(self):
+        with pytest.raises(ConfigError, match="^dictionary is empty$"):
+            ScenarioConfig(kind="guess", seed=1, dictionary=())
+        with pytest.raises(ConfigError, match="^guess scenario requires a dictionary$"):
+            ScenarioConfig(kind="guess", seed=1)
+
     @pytest.mark.parametrize("entry, message", [
         ("ab", "bad dictionary entry: 'ab'"),
         (("a", "b", "c"), "bad dictionary entry: ('a', 'b', 'c')"),
@@ -252,10 +258,14 @@ dictionary_text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=
 
 @st.composite
 def scenario_configs(draw):
-    """Any kind, either tap setting, every mutation target its tap allows, small guess dictionaries."""
+    """Any kind, either tap setting, every mutation target its tap allows, small guess dictionaries, and any
+    attacker credentials for masquerade, the victim's own among them."""
     kind = draw(st.sampled_from(sorted(KINDS)))
     tap = draw(st.booleans())
     kw = {}
+    if kind == "masquerade":
+        known = st.sampled_from([("alice", "pw123"), ("mallory", "letmein")])
+        kw["attacker_id"], kw["attacker_password"] = draw(st.tuples(dictionary_text, dictionary_text) | known)
     if kind == "mutation":
         targets = sorted(t for t, (message, *_) in MUTATION_TARGETS.items() if tap or message in ("M1", "M4"))
         kw["mutation_target"] = draw(st.sampled_from(targets))
@@ -607,6 +617,21 @@ def move_first(lines, tag, before):
     return [*lines[:at], moved, *lines[at:]]
 
 
+# config field that only some kinds read -> those kinds, as "only valid for" names them
+READ_BY = {"attacker_id": "masquerade", "attacker_password": "masquerade", "dictionary": "guess",
+           "mutation_target": "mutation"}
+# (kind, a field of READ_BY that the kind does not read), each of which must keep its default
+UNREAD_FIELDS = [(kind, field) for kind in KINDS for field, kinds in READ_BY.items()
+                 if kind not in kinds.split(" or ")]
+# values other than each field's default, as a JSON header holds them
+NON_DEFAULT_VALUES = {
+    "attacker_id": ["eve", ""],
+    "attacker_password": ["", "hunter2"],
+    "dictionary": [[["alice", "pw123"]], []],
+    "mutation_target": ["m1.f_i"],
+}
+
+
 class TestVerifyTranscript:
     def test_fresh_transcript_consistent(self):
         text = run_scenario(config("honest", seed=30)).to_jsonl()
@@ -654,6 +679,23 @@ class TestVerifyTranscript:
                 Transcript.from_jsonl(text)
         text = "".join([json.dumps(damaged["unknown header key"]) + "\n", *lines[1:]])
         assert verify_transcript(text) == (2, "malformed transcript: unknown header key: 'zzz'")
+
+    @pytest.mark.parametrize("kind, field", UNREAD_FIELDS)
+    def test_header_field_the_kind_does_not_read_is_malformed(self, kind, field):
+        # a header that sets such a field would name a second header for one and the same run
+        text = run_scenario(config(kind, seed=0)).to_jsonl()
+        assert verify_transcript(text)[0] == 0
+        header, rest = text.split("\n", 1)
+        record = json.loads(header)
+        message = f"{field} is only valid for {READ_BY[field]} scenarios"
+        for value in NON_DEFAULT_VALUES[field]:
+            record["config"][field] = value
+            edited = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" + rest
+            assert verify_transcript(edited) == (2, f"malformed transcript: {message}")
+            with pytest.raises(TranscriptFormatError, match=f"{message}$"):
+                Transcript.from_jsonl(edited)
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                config(kind, seed=0, **{field: value})
 
     def test_header_integer_past_digit_limit_is_malformed(self):
         # json.dumps cannot write such an int either, so the line is built as text
@@ -889,7 +931,7 @@ class TestLinkRestriction:
             extra = {"mutation_target": targets[seed * 5 % len(targets)]} if kind == "mutation" else {}
             cfg = config(kind, seed=seed, tap_server_cs_link=tap, **extra)
             run = simulator._Run(cfg)
-            simulator._SCENARIOS[kind](run)
+            simulator._SCENARIOS[kind][0](run)
             wire = [(e.payload, e.kind, *decode_message(e.kind, e.payload)) for e in run_scenario(cfg).adversary_view()]
             assert wire
             assert [(payload, type(msg).__name__, *msg) for payload, msg in run.view] == wire
