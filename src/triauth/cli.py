@@ -22,14 +22,17 @@ from .simulator import (
 )
 from .attacks import read_dictionary_file
 
-# dest of each flag that only some kinds read -> (the flag, the config field it sets)
-_KIND_FLAGS = {
-    "attacker_id": ("--attacker-id", "attacker_id"),
-    "attacker_password": ("--attacker-password", "attacker_password"),
-    "dict_path": ("--dict", "dictionary"),
-    "cross": ("--cross", "dictionary"),
-    "mutation_target": ("--mutate-field", "mutation_target"),
-}
+# each flag that only some kinds read: (the flag, the config field it sets, its argparse keywords);
+# its help is prefixed with the kinds that read the field
+_KIND_FLAGS = (
+    ("--attacker-id", "attacker_id", {"dest": "attacker_id", "help": "attacker identity"}),
+    ("--attacker-password", "attacker_password", {"dest": "attacker_password", "help": "attacker password"}),
+    ("--dict", "dictionary", {"dest": "dict_path", "help": "candidate file, one id<TAB>password per line"}),
+    ("--cross", "dictionary",
+     {"dest": "cross", "action": "store_true", "help": "expand the file's ids x passwords cross product"}),
+    ("--mutate-field", "mutation_target",
+     {"dest": "mutation_target", "help": "target field, e.g. " + ", ".join(sorted(MUTATION_TARGETS)[:3]) + ", ..."}),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,17 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--id", dest="user_id", help="victim identity")
     run_p.add_argument("--password", help="victim password")
     run_p.add_argument("--sid", help="service server identity")
-    run_p.add_argument("--attacker-id", help="masquerade: attacker identity")
-    run_p.add_argument("--attacker-password", help="masquerade: attacker password")
-    run_p.add_argument("--dict", dest="dict_path", help="guess: candidate file, one id<TAB>password per line")
-    run_p.add_argument(
-        "--cross", action="store_true",
-        help="guess: expand the file's ids x passwords cross product",
-    )
-    run_p.add_argument(
-        "--mutate-field", dest="mutation_target",
-        help="mutation: target field, e.g. " + ", ".join(sorted(MUTATION_TARGETS)[:3]) + ", ...",
-    )
+    for flag, field, keywords in _KIND_FLAGS:
+        run_p.add_argument(flag, **keywords | {"help": f"{' or '.join(_READERS[field])}: {keywords['help']}"})
     run_p.add_argument(
         "--user-link-only", action="store_true",
         help="restrict the adversary tap to the user<->server link",
@@ -69,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     """The run's config from the flags given; a flag only another kind reads is rejected before any file is read."""
-    for dest, (flag, field) in _KIND_FLAGS.items():
-        value, reads = getattr(args, dest), args.kind in _READERS[field]
+    for flag, field, keywords in _KIND_FLAGS:
+        value, reads = getattr(args, keywords["dest"]), args.kind in _READERS[field]
         if value not in (None, False) and not reads:
             raise ConfigError(f"{flag} is only valid for {' or '.join(_READERS[field])} scenarios")
         if value in (None, "") and reads and ScenarioConfig._field_defaults[field] is None:

@@ -123,14 +123,14 @@ def _utf8_ok(value: str) -> bool:
 
 
 def checked(cls):
-    """Pass every record cls builds, also by _replace and _make, through cls._checked: it returns the record to keep."""
+    """Pass every record cls builds, also by _replace and _make, through cls.validate: it returns the record to keep."""
     new = cls.__new__
-    return _build_through(cls, lambda klass, *args, **kwargs: new(klass, *args, **kwargs)._checked())
+    return _build_through(cls, lambda klass, *args, **kwargs: new(klass, *args, **kwargs).validate())
 
 
 @checked
 class ScenarioConfig(NamedTuple):
-    """Everything needed to reproduce one scenario run; normalised and validated when built."""
+    """Everything needed to reproduce one scenario run; stored as given and validated when built."""
 
     kind: str
     seed: int
@@ -143,20 +143,8 @@ class ScenarioConfig(NamedTuple):
     mutation_target: str | None = None
     tap_server_cs_link: bool = True
 
-    def _checked(self) -> "ScenarioConfig":
-        """Lower-case the mutation target and make listed dictionary entries tuples, then validate."""
-        cfg, target, entries = self, self.mutation_target, self.dictionary
-        if isinstance(target, str) and target != target.lower():
-            target = target.lower()
-        if entries is not None and (type(entries) is not tuple or set(map(type, entries)) != {tuple}):
-            entries = tuple(tuple(e) if isinstance(e, list) else e for e in entries)
-        if target is not self.mutation_target or entries is not self.dictionary:
-            values = self._asdict() | {"mutation_target": target, "dictionary": entries}
-            cfg = tuple.__new__(type(self), values.values())
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
+    def validate(self) -> "ScenarioConfig":
+        """Raise ConfigError for the first malformed field; return the config unchanged."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind: {self.kind!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -174,9 +162,12 @@ class ScenarioConfig(NamedTuple):
                 if value != self._field_defaults[name]:
                     raise ConfigError(f"{name} is only valid for {' or '.join(_READERS[name])} scenarios")
             elif name == "dictionary":
+                if value is None:
+                    raise ConfigError(f"{self.kind} scenario requires a dictionary")
+                if type(value) is not tuple:
+                    raise ConfigError(f"dictionary must be a tuple, not {type(value).__name__}")
                 if not value:
-                    raise ConfigError("dictionary is empty" if value is not None else
-                                      f"{self.kind} scenario requires a dictionary")
+                    raise ConfigError("dictionary is empty")
                 for entry in value:
                     ident, password = entry if isinstance(entry, tuple) and len(entry) == 2 else (None, None)
                     if not (isinstance(ident, str) and ident and isinstance(password, str) and password):
@@ -192,12 +183,15 @@ class ScenarioConfig(NamedTuple):
                 raise ConfigError(f"{name} must be a non-empty string")
             elif not (value.isascii() or _utf8_ok(value)):
                 raise ConfigError(f"{name} is not valid UTF-8: {value!r}")
+        return self
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Decode and validate a config object; anything malformed raises ConfigError."""
+        """Decode and validate a config object, reading its JSON arrays as tuples; anything malformed raises ConfigError."""
         if not isinstance(data, dict):
             raise ConfigError("config must be an object")
+        if type(entries := data.get("dictionary")) is list:
+            data = data | {"dictionary": tuple(tuple(e) if type(e) is list else e for e in entries)}
         try:
             return _CODECS[cls].decode(data)
         except ConfigError:

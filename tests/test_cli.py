@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,6 +44,15 @@ KIND_FLAGS = {
 # what a kind needs to run at all, as flags and as config fields
 RUNNABLE_FLAGS = {"guess": ["--dict", "DICT"], "mutation": ["--mutate-field", "m4.v_i"]}
 RUNNABLE_FIELDS = {"guess": {"dictionary": (("alice", "pw123"),)}, "mutation": {"mutation_target": "m4.v_i"}}
+
+
+@cache
+def run_help() -> str:
+    """What `triauth run --help` prints, its lines joined by single spaces."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["run", "--help"]) == 0
+    return " ".join(out.getvalue().split())
 
 
 class TestRunCommand:
@@ -129,6 +139,9 @@ class TestRunCommand:
             assert code in (0, 1) and err == ""
         else:
             assert code == 2 and err == f"error: {flag} is only valid for {config_kinds}\n"
+            # the flag's help opens with the same kinds
+            kinds = config_kinds.removesuffix(" scenarios")
+            assert re.search(rf" {flag}(?: [A-Z_]+)? {kinds}: ", run_help()), run_help()
 
     def test_unknown_kind_is_usage_error(self, capsys):
         assert run_cli("run", "bogus") == 2

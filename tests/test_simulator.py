@@ -71,19 +71,35 @@ class TestScenarioConfig:
             config("honest")._replace(seed=-(10**5000))
         assert run_scenario(config("honest", seed=10**4299)).result.expectations_met
 
-    def test_replace_and_make_normalise(self):
-        cfg = config("mutation")._replace(mutation_target="M4.T_I", tap_server_cs_link=False)
+    def test_replace_and_make_store_values_as_given(self):
+        cfg = config("mutation")._replace(mutation_target="m4.t_i", tap_server_cs_link=False)
         assert cfg.mutation_target == "m4.t_i" and cfg == ScenarioConfig._make(cfg)
+        with pytest.raises(ConfigError, match=r"^unknown mutation target: 'M4.T_I'$"):
+            cfg._replace(mutation_target="M4.T_I")
         values = config("guess")._asdict() | {"dictionary": [["alice", "pw123"]]}
-        assert ScenarioConfig._make(values.values()).dictionary == (("alice", "pw123"),)
+        with pytest.raises(ConfigError, match="^dictionary must be a tuple, not list$"):
+            ScenarioConfig._make(values.values())
         with pytest.raises(ConfigError, match="not on a tapped link"):
             cfg._replace(mutation_target="m2.m_i")
 
-    def test_only_a_listed_entry_is_rebuilt(self):
+    def test_entries_are_stored_as_given(self):
         guess = config("guess")
         assert guess._replace(seed=2).dictionary is guess.dictionary
-        mixed = ScenarioConfig(kind="guess", seed=1, dictionary=(("bob", "x1"), ["alice", "pw123"]))
-        assert mixed.dictionary == (("bob", "x1"), ("alice", "pw123"))
+        with pytest.raises(ConfigError, match=re.escape("bad dictionary entry: ['alice', 'pw123']")):
+            ScenarioConfig(kind="guess", seed=1, dictionary=(("bob", "x1"), ["alice", "pw123"]))
+        # JSON arrays enter only through from_dict, which reads them as tuples
+        data = json.loads(json.dumps(reference_encode(guess)))
+        assert data["dictionary"] == [list(entry) for entry in SMALL_DICT]
+        assert ScenarioConfig.from_dict(data).dictionary == SMALL_DICT
+
+    @pytest.mark.parametrize("dictionary", [0, "ab", [("a", "b")], {"a": "b"}])
+    def test_non_tuple_dictionary_rejected_by_type(self, dictionary):
+        with pytest.raises(ConfigError, match=f"^dictionary must be a tuple, not {type(dictionary).__name__}$"):
+            ScenarioConfig(kind="guess", seed=1, dictionary=dictionary)
+        for kind in KINDS:
+            if kind != "guess":
+                with pytest.raises(ConfigError, match="^dictionary is only valid for guess scenarios$"):
+                    config(kind, dictionary=dictionary)
 
     @pytest.mark.parametrize("name", ["kind", "seed", "dictionary"])
     def test_setting_a_field_raises(self, name):
@@ -133,10 +149,9 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="^mutation_target is only valid for mutation scenarios$"):
             ScenarioConfig(kind="honest", seed=0, mutation_target="m1.f_i")
 
-    def test_mutation_target_case_normalized(self):
-        cfg = ScenarioConfig(kind="mutation", seed=1, mutation_target="M2.M_I")
-        cfg.validate()
-        assert cfg.mutation_target == "m2.m_i"
+    def test_mutation_target_matched_as_written(self):
+        with pytest.raises(ConfigError, match=r"^unknown mutation target: 'M2.M_I'$"):
+            ScenarioConfig(kind="mutation", seed=1, mutation_target="M2.M_I")
 
     def test_backhaul_target_needs_tapped_link(self):
         with pytest.raises(ConfigError):
@@ -671,6 +686,8 @@ class TestVerifyTranscript:
             "unknown header key": {**good, "zzz": 1},
             "user_id not UTF-8": {**good, "config": {**good["config"], "user_id": "\udcff"}},
             "entry not UTF-8": {**good, "config": {**good["config"], "dictionary": [["a", "\udcff"]]}},
+            "dictionary a string": {**good, "config": {**good["config"], "dictionary": "ab"}},
+            "dictionary an object": {**good, "config": {**good["config"], "dictionary": {"a": "b"}}},
         }
         for name, header in damaged.items():
             text = "".join([json.dumps(header) + "\n", *lines[1:]])
@@ -679,6 +696,12 @@ class TestVerifyTranscript:
                 Transcript.from_jsonl(text)
         text = "".join([json.dumps(damaged["unknown header key"]) + "\n", *lines[1:]])
         assert verify_transcript(text) == (2, "malformed transcript: unknown header key: 'zzz'")
+        # a mutation target is matched as written, never lower-cased into another header's run
+        lines = run_scenario(config("mutation", seed=34, mutation_target="m1.f_i")).to_jsonl().splitlines(keepends=True)
+        text = "".join([lines[0].replace('"m1.f_i"', '"M1.F_I"'), *lines[1:]])
+        assert verify_transcript(text) == (2, "malformed transcript: unknown mutation target: 'M1.F_I'")
+        with pytest.raises(TranscriptFormatError):
+            Transcript.from_jsonl(text)
 
     @pytest.mark.parametrize("kind, field", UNREAD_FIELDS)
     def test_header_field_the_kind_does_not_read_is_malformed(self, kind, field):
