@@ -187,16 +187,14 @@ class ScenarioConfig(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Decode and validate a config object, reading its JSON arrays as tuples; anything malformed raises ConfigError."""
+        """Build a config from its JSON object, its arrays read as tuples, checked by its constructor alone."""
         if not isinstance(data, dict):
             raise ConfigError("config must be an object")
         if type(entries := data.get("dictionary")) is list:
             data = data | {"dictionary": tuple(tuple(e) if type(e) is list else e for e in entries)}
         try:
-            return _CODECS[cls].decode(data)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
+            return cls(**data)
+        except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
 
 
@@ -321,10 +319,11 @@ class _Codec:
     Its JSON keys are the class's field names, and a record with a tag adds
     it under "record".  Bytes fields travel as lowercase hex.  A tagged
     record's line leaves out each None field; the config, which the header
-    holds untagged, writes null.  Decoding rejects a value whose class is
-    not the field's declared type, so every decoded object can be written
-    again by line().  line() is compiled from the field spec when the codec
-    is built; decode() walks the JSON object once.
+    holds untagged, writes null and is read by ScenarioConfig.from_dict.
+    decode() rejects a value whose class is not the field's declared type,
+    so every decoded object can be written again by line().  line() is
+    compiled from the field spec when the codec is built; decode() walks
+    the JSON object once.
     """
 
     def __init__(self, cls, tag: str | None = None):
@@ -336,11 +335,10 @@ class _Codec:
         self.line = _compile_line(self)
 
     def decode(self, record: dict):
-        """Build the record from its JSON object.  Raises the first of: a bad hex string, an unknown or missing
-        key (in the class's own words) or a value the class rejects, then a field of another class."""
+        """Build the tagged record from its JSON object.  Raises the first of: a bad hex string, an unknown or
+        missing key (in the class's own words) or a value the class rejects, then a field of another class."""
         kwargs = dict(record)
-        if self.tag is not None:
-            del kwargs["record"]
+        del kwargs["record"]
         for name in self._hex:
             if kwargs.get(name) is not None:
                 kwargs[name] = bytes.fromhex(kwargs[name])
@@ -411,7 +409,8 @@ def _decode_header(text: str) -> ScenarioConfig:
         raise TranscriptFormatError(f"unknown header key: {min(unknown)!r}")
     cfg = ScenarioConfig.from_dict(header["config"])
     for key, expected in {**_HEADER_FIXED, "scenario": cfg.kind, "seed": cfg.seed}.items():
-        if header.get(key) != expected:
+        # compared by class too: JSON true and 1.0 equal 1 in Python
+        if type(header.get(key)) is not type(expected) or header[key] != expected:
             raise TranscriptFormatError(f"header {key} is {header.get(key)!r}, expected {expected!r}")
     return cfg
 

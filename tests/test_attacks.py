@@ -12,6 +12,7 @@ from triauth import (
     BlockRng,
     ConfigError,
     ControlServer,
+    CSAuthFailed,
     ScenarioConfig,
     SmartCard,
     UserAuthFailed,
@@ -21,6 +22,7 @@ from triauth import (
     guess_credentials,
     read_dictionary_file,
     register_server,
+    run_scenario,
     server_forward,
     server_verify,
 )
@@ -286,6 +288,61 @@ class TestReplayLogin:
         m2, _ = server_forward(run.secrets, bad, BlockRng(60, "server"))
         with pytest.raises(UserAuthFailed):
             cs_authenticate(run.cs, m2, BlockRng(60, "cs2"))
+
+    @pytest.mark.parametrize("tap", [True, False], ids=["full-tap", "user-link-only"])
+    def test_replay_matrix(self, tap):
+        """Each message the adversary observes in session 1, replayed into a later session of the same parties,
+        whose streams draw on: CS keeps no state, so it accepts again an M1 (through the server) or an M2, but
+        the server and the card each check a nonce of their own, which the later session draws afresh."""
+        view = run_scenario(ScenarioConfig(kind="replay", seed=0, tap_server_cs_link=tap)).adversary_view()
+        assert sorted({e.kind for e in view if e.session == 1}) == (["M1", "M2", "M3", "M4"] if tap else ["M1", "M4"])
+        sid = b"server-1"
+        for seed in range(100):
+            rng_cs, rng_user, rng_server = (BlockRng(seed, label) for label in ("cs", "user", "server"))
+            cs = ControlServer.generate(rng_cs)
+            secrets = register_server(cs, sid)
+            card = enroll_user(cs, b"alice", b"pw123", rng_user)
+            m1, card_session = card_login(card, b"alice", b"pw123", sid, rng_user)
+            m2, n_i2 = server_forward(secrets, m1, rng_server)
+            m3, _ = cs_authenticate(cs, m2, rng_cs)
+            m4, _ = server_verify(secrets, n_i2, m3)
+            card_verify(card_session, m4)
+            # M1 through the server: CS and the server accept it again
+            replayed_m2, replayed_n_i2 = server_forward(secrets, m1, rng_server)
+            answer, _ = cs_authenticate(cs, replayed_m2, rng_cs)
+            server_verify(secrets, replayed_n_i2, answer)
+            # a later login of the card, which the server forwards with a new n2
+            later_m1, later_session = card_login(card, b"alice", b"pw123", sid, rng_user)
+            _, later_n_i2 = server_forward(secrets, later_m1, rng_server)
+            with pytest.raises(CSAuthFailed):  # M4 fails at the card
+                card_verify(later_session, m4)
+            if tap:
+                answer, _ = cs_authenticate(cs, m2, rng_cs)  # CS accepts M2 again ...
+                with pytest.raises(CSAuthFailed):  # ... but the server rejects its answer
+                    server_verify(secrets, later_n_i2, answer)
+                with pytest.raises(CSAuthFailed):  # M3 fails at the server
+                    server_verify(secrets, later_n_i2, m3)
+
+
+class TestLinkLogins:
+    def test_an_insider_links_every_login_of_one_user(self):
+        """p_ij = e XOR h(h(y) || n1 || sid) and f_i = h(y) XOR n1, so the h(y) on any card strips e, which is
+        fixed per user, out of any M1: no dynamic identity hides who logs in."""
+        def strip(h_y, m1, sid):
+            return ref_xor(m1.p_ij, ref_h(h_y, ref_xor(h_y, m1.f_i), sid))
+
+        for seed in range(100):
+            cs = ControlServer.generate(BlockRng(seed, "cs"))
+            alice_rng, bob_rng = BlockRng(seed, "user"), BlockRng(seed, "bob")
+            alice = enroll_user(cs, b"alice", b"pw123", alice_rng)
+            bob = enroll_user(cs, b"bob", b"x1", bob_rng)
+            insider = enroll_user(cs, b"mallory", b"letmein", BlockRng(seed, "attacker"))
+            first, _ = card_login(alice, b"alice", b"pw123", b"server-1", alice_rng)
+            second, _ = card_login(alice, b"alice", b"pw123", b"server-2", alice_rng)
+            other, _ = card_login(bob, b"bob", b"x1", b"server-1", bob_rng)
+            assert first != second
+            assert strip(insider.h_y, first, b"server-1") == strip(insider.h_y, second, b"server-2") == alice.e_i
+            assert strip(insider.h_y, other, b"server-1") == bob.e_i != alice.e_i
 
 
 class TestAdversaryKnowledge:

@@ -326,9 +326,9 @@ def field_values(field_type):
 
 
 @st.composite
-def codec_records(draw):
-    """A codec and one of its objects: any record, or any config the scenario_configs strategy draws."""
-    codec = draw(st.sampled_from(list(simulator._CODECS.values())))
+def codec_records(draw, codecs=tuple(simulator._CODECS.values())):
+    """A codec drawn from codecs and one of its objects: any record, or any config scenario_configs draws."""
+    codec = draw(st.sampled_from(codecs))
     if codec.cls is ScenarioConfig:
         return codec, draw(scenario_configs())
     return codec, codec.cls(**{name: draw(field_values(codec.cls.__annotations__[name])) for name in codec.cls._fields})
@@ -392,10 +392,9 @@ def field_classes(field_type) -> tuple:
 
 
 def reference_decode(codec, data: dict):
-    """Build codec's record from its JSON object field by field, from the record annotations alone."""
+    """Build codec's tagged record from its JSON object field by field, from the record annotations alone."""
     kwargs = dict(data)
-    if codec.tag is not None:
-        del kwargs["record"]
+    del kwargs["record"]
     classes = {name: field_classes(t) for name, t in codec.cls.__annotations__.items()}
     for name, allowed in classes.items():
         if bytes in allowed and kwargs.get(name) is not None:
@@ -416,9 +415,10 @@ json_values = (
 
 
 @st.composite
-def codec_objects(draw):
-    """A codec and the JSON object of one of its records, as written or with one key or value edited."""
-    codec, record = draw(codec_records())
+def codec_objects(draw, codecs=tuple(simulator._BY_TAG.values())):
+    """A codec drawn from codecs, by default the tagged ones, and the JSON object of one of its records, as
+    written or with one key or value edited."""
+    codec, record = draw(codec_records(codecs))
     data = json.loads(codec.line(record))
     edit = draw(st.sampled_from(["none", "drop", "add", "rename", "retype", "hex"]))
     hex_keys = sorted({"payload", "sk"} & data.keys())
@@ -459,6 +459,19 @@ class TestReaderProperty:
     def test_compiled_reader_matches_the_reference(self, codec_object):
         codec, data = codec_object
         assert decoded(lambda c, d: c.decode(d), codec, data) == decoded(reference_decode, codec, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(codec_objects((simulator._CODECS[ScenarioConfig],)))
+    def test_a_config_is_built_with_its_declared_field_classes_or_not_at_all(self, codec_object):
+        # the config has no class check of its own after validate, so validate must reject every other class
+        codec, data = codec_object
+        try:
+            cfg = ScenarioConfig.from_dict(data)
+        except ConfigError:
+            return
+        classes = {name: field_classes(t) for name, t in ScenarioConfig.__annotations__.items()}
+        assert all(type(value) in classes[name] for name, value in zip(cfg._fields, cfg))
+        assert ScenarioConfig.from_dict(json.loads(codec.line(cfg))) == cfg
 
 
 class TestGeneratedFunctions:
@@ -702,6 +715,33 @@ class TestVerifyTranscript:
         assert verify_transcript(text) == (2, "malformed transcript: unknown mutation target: 'M1.F_I'")
         with pytest.raises(TranscriptFormatError):
             Transcript.from_jsonl(text)
+        # a header value is compared by class as well as by value: JSON true and 1.0 equal 1 in Python
+        for seed, value in [(1, "true"), (1, "1.0"), (1, "1e0"), (0, "false"), (0, "0.0")]:
+            text = run_scenario(config("honest", seed=seed)).to_jsonl()
+            edited = text.replace(f'"scenario":"honest","seed":{seed}', f'"scenario":"honest","seed":{value}')
+            assert edited != text
+            shown = repr(json.loads(value))
+            assert verify_transcript(edited) == (2, f"malformed transcript: header seed is {shown}, expected {seed}")
+            with pytest.raises(TranscriptFormatError):
+                Transcript.from_jsonl(edited)
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("honest", "seed", True, "seed must be an integer"),
+        ("honest", "tap_server_cs_link", 1, "tap_server_cs_link must be a boolean"),
+        ("honest", "user_id", 5, "user_id must be a non-empty string"),
+        ("honest", "attacker_id", 5, "attacker_id is only valid for masquerade scenarios"),
+        ("guess", "dictionary", [["a", 5]], "bad dictionary entry: ('a', 5)"),
+        ("mutation", "mutation_target", 5, "unknown mutation target: 5"),
+    ])
+    def test_header_config_value_of_another_class_is_malformed(self, kind, field, value, message):
+        # validate rejects each such value itself, in its own words, before any class check could
+        header, rest = run_scenario(config(kind, seed=1)).to_jsonl().split("\n", 1)
+        record = json.loads(header)
+        record["config"][field] = value
+        edited = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" + rest
+        assert verify_transcript(edited) == (2, f"malformed transcript: {message}")
+        with pytest.raises(TranscriptFormatError, match=f"{re.escape(message)}$"):
+            Transcript.from_jsonl(edited)
 
     @pytest.mark.parametrize("kind, field", UNREAD_FIELDS)
     def test_header_field_the_kind_does_not_read_is_malformed(self, kind, field):
