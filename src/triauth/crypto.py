@@ -5,26 +5,29 @@ hash inputs go through an injective length-prefixed concatenation, so two
 different part lists can never produce the same hash input.
 """
 
-import hashlib
 import struct
+from hashlib import sha256 as _sha256
 from itertools import count
 
 DIGEST_LEN = 32
 HASH_NAME = "sha256"
 _pack_len = struct.Struct(">I").pack
 _pack_index = struct.Struct(">Q").pack
+_from_bytes = int.from_bytes
+# The length prefix of a digest-length part, the one concat() and h() frame most.
+_DIGEST_PREFIX = _pack_len(DIGEST_LEN)
 
 
 def hash_bytes(data: bytes) -> bytes:
     """SHA-256 digest of a raw byte string."""
-    return hashlib.sha256(data).digest()
+    return _sha256(data).digest()
 
 
 def xor(a: bytes, b: bytes) -> bytes:
     """Byte-wise XOR; operands must have equal length."""
     if len(a) != len(b):
         raise ValueError(f"xor operands differ in length ({len(a)} vs {len(b)})")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    return (_from_bytes(a, "big") ^ _from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def frame(part: bytes) -> bytes:
@@ -40,7 +43,7 @@ def concat(*parts: bytes) -> bytes:
     """
     data = b""
     for part in parts:
-        data += _pack_len(len(part)) + part
+        data += _DIGEST_PREFIX + part if len(part) == DIGEST_LEN else _pack_len(len(part)) + part
     return data
 
 
@@ -64,10 +67,10 @@ def h(*parts: bytes) -> bytes:
     """Protocol hash: a single part is hashed raw, several parts as their concat() encoding."""
     if len(parts) == 1:
         return hash_bytes(parts[0])
-    # concat()'s body, inlined: h is the hottest call in every run.
+    # concat()'s loop, inlined: h is the hottest call in every run.
     data = b""
     for part in parts:
-        data += _pack_len(len(part)) + part
+        data += _DIGEST_PREFIX + part if len(part) == DIGEST_LEN else _pack_len(len(part)) + part
     return hash_bytes(data)
 
 
@@ -81,8 +84,10 @@ class BlockRng:
     """
 
     def __init__(self, seed: int, label: str):
-        # Everything of concat(key, i) but i's own 8 octets, framed once.
-        self._head = frame(hash_bytes(concat(str(seed).encode("ascii"), label.encode("utf-8")))) + _pack_len(8)
+        # concat(decimal seed, label) and everything of concat(key, i) but i's own 8 octets, framed inline.
+        seed_text, label_text = str(seed).encode("ascii"), label.encode("utf-8")
+        key = hash_bytes(_pack_len(len(seed_text)) + seed_text + _pack_len(len(label_text)) + label_text)
+        self._head = _DIGEST_PREFIX + key + _pack_len(8)
         self._index = count()
 
     def next_block(self) -> bytes:

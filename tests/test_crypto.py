@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from triauth import DIGEST_LEN, BlockRng, concat, h, hash_bytes, split_concat, xor
 from triauth.crypto import frame
 
-from oracle import SHA256_ABC, SHA256_EMPTY, ref_concat, ref_h, ref_parse, ref_rng
+from oracle import SHA256_ABC, SHA256_EMPTY, ref_concat, ref_h, ref_parse, ref_rng, ref_xor
 
 digests = st.binary(min_size=DIGEST_LEN, max_size=DIGEST_LEN)
-# Parts of the lengths the protocol frames: empty, short, digests, and past one SHA-256 block.
+# Parts of the lengths the protocol frames: empty, short, digests and both their neighbours,
+# and past one SHA-256 block.
 framed_parts = st.lists(
     st.one_of(st.just(b""), st.binary(min_size=1, max_size=1), st.binary(min_size=8, max_size=8),
-              digests, st.binary(min_size=65, max_size=80)),
+              st.binary(min_size=DIGEST_LEN - 1, max_size=DIGEST_LEN - 1), digests,
+              st.binary(min_size=DIGEST_LEN + 1, max_size=DIGEST_LEN + 1), st.binary(min_size=65, max_size=80)),
     max_size=4,
 )
 
@@ -86,6 +88,13 @@ class TestXor:
             for b in range(256):
                 assert xor(bytes([a]), bytes([b])) == bytes([a ^ b])
 
+    @pytest.mark.parametrize("width", [0, 1, DIGEST_LEN - 1, DIGEST_LEN, DIGEST_LEN + 1, 2 * DIGEST_LEN])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_matches_the_reference(self, width, data):
+        a, b = (data.draw(st.binary(min_size=width, max_size=width)) for _ in range(2))
+        assert xor(a, b) == ref_xor(a, b)
+
 
 class TestConcat:
     def test_single_part_encoding(self):
@@ -133,7 +142,8 @@ class TestBlockRng:
         assert len(BlockRng(0, "root").next_block()) == DIGEST_LEN
 
     @pytest.mark.parametrize("label", ["cs", "adversary", "é"])
-    @pytest.mark.parametrize("seed", [0, 1, -7, 2**70])
+    # -(10**300) has 302 octets of decimal text: a length prefix with two nonzero octets.
+    @pytest.mark.parametrize("seed", [0, 1, -7, 2**70, -(10**300)])
     def test_blocks_match_the_reference(self, seed, label):
         rng = BlockRng(seed, label)
         assert [rng.next_block() for _ in range(20)] == ref_rng(seed, label, 20)
