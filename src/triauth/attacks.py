@@ -9,7 +9,7 @@ capability includes the control server's master secrets.
 from typing import NamedTuple
 
 from .actors import SmartCard
-from .crypto import DIGEST_LEN, _pack_len, frame, hash_bytes, split_concat
+from .crypto import _DIGEST_PREFIX, _pack_len, concat, hash_bytes, split_concat
 
 
 def read_dictionary_file(path, cross: bool = False) -> tuple[tuple[str, str], ...]:
@@ -59,10 +59,10 @@ def guess_credentials(extracted: SmartCard, candidates) -> GuessResult:
     result.  Costs one hash per candidate and one per distinct password, and
     frames an identity once per run of equal ones.  A lone surrogate raises UnicodeEncodeError.
     """
-    # h(id, h_y, a_i) hashes frame(id) + tail, where tail = frame(h_y) + frame(a_i) and
+    # h(id, h_y, a_i) hashes concat(id) + tail, where tail = concat(h_y) + concat(a_i) and
     # a_i = h(b, password) depends on the password alone: one tail per distinct password.
-    # Each hash input is framed inline, as concat() frames it: a_i is a DIGEST_LEN digest.
-    framed_b, tail_head, c_i = frame(extracted.b), frame(extracted.h_y) + _pack_len(DIGEST_LEN), extracted.c_i
+    # Each hash input is framed inline, as concat() frames it: a_i is a digest.
+    framed_b, tail_head, c_i = concat(extracted.b), concat(extracted.h_y) + _DIGEST_PREFIX, extracted.c_i
     tails = {}
     last_id = head = None
     evaluations = 0

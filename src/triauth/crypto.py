@@ -30,11 +30,6 @@ def xor(a: bytes, b: bytes) -> bytes:
     return (_from_bytes(a, "big") ^ _from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def frame(part: bytes) -> bytes:
-    """One part of a concat() encoding: its 4-octet big-endian length, then the part."""
-    return _pack_len(len(part)) + part
-
-
 def concat(*parts: bytes) -> bytes:
     """Join byte strings with 4-octet big-endian length prefixes.
 

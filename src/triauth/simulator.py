@@ -51,7 +51,6 @@ ARTIFACT_VERSION = "0.1.0"
 # A login message's wire fields are its actor record's fields in declaration
 # order: M2 declares the four fields of the M1 it forwards first.
 WIRE_MESSAGES = {cls.__name__: cls for cls in (M1, M2, M3, M4)}
-WIRE_FIELDS = {kind: cls._fields for kind, cls in WIRE_MESSAGES.items()}
 
 
 # --- login exchange ------------------------------------------------------
@@ -96,8 +95,8 @@ _CAUGHT_BY = {
 # target -> (message kind, field, expected abort, party that aborts)
 MUTATION_TARGETS = {
     f"{kind.lower()}.{name}": (kind, name, *_CAUGHT_BY.get(f"{kind}.{name}", _CAUGHT_BY[kind]))
-    for kind, fields in WIRE_FIELDS.items()
-    for name in fields
+    for kind, cls in WIRE_MESSAGES.items()
+    for name in cls._fields
 }
 
 
@@ -208,7 +207,7 @@ def encode_message(kind: str, msg) -> bytes:
 
 def decode_message(kind: str, payload: bytes):
     parts = split_concat(payload)
-    if kind not in WIRE_FIELDS or len(parts) != len(WIRE_FIELDS[kind]):
+    if kind not in WIRE_MESSAGES or len(parts) != len(WIRE_MESSAGES[kind]._fields):
         raise ValueError(f"payload is not a well-formed {kind}")
     return WIRE_MESSAGES[kind](*parts)
 
@@ -685,8 +684,8 @@ def _guess(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     recovered = {}
     if guess.found:
         recovered = {
-            "user_id": guess.user_id.decode("utf-8", "replace"),
-            "password": guess.password.decode("utf-8", "replace"),
+            "user_id": guess.user_id.decode("utf-8"),
+            "password": guess.password.decode("utf-8"),
         }
     if success:
         detail = f"credentials recovered after {guess.evaluations} evaluations"

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triauth import DIGEST_LEN, BlockRng, concat, h, hash_bytes, split_concat, xor
-from triauth.crypto import frame
 
 from oracle import SHA256_ABC, SHA256_EMPTY, ref_concat, ref_h, ref_parse, ref_rng, ref_xor
 
@@ -98,7 +97,11 @@ class TestXor:
 
 class TestConcat:
     def test_single_part_encoding(self):
-        assert concat(b"AB") == frame(b"AB") == b"\x00\x00\x00\x02AB"
+        assert concat(b"AB") == b"\x00\x00\x00\x02AB"
+
+    @given(framed_parts)
+    def test_is_the_join_of_its_single_part_encodings(self, parts):
+        assert concat(*parts) == b"".join(concat(p) for p in parts)
 
     def test_boundaries_are_preserved(self):
         assert concat(b"A", b"B") != concat(b"AB")

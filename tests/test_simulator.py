@@ -185,8 +185,7 @@ class TestMessageCodec:
             with pytest.raises(ValueError, match=f"^{type(msg).__name__} is not a wire message of kind '{kind}'$"):
                 encode_message(kind, msg)
 
-    def test_wire_fields_are_each_records_fields(self):
-        assert simulator.WIRE_FIELDS == {kind: cls._fields for kind, cls in simulator.WIRE_MESSAGES.items()}
+    def test_wire_messages_are_m1_to_m4_and_m2_extends_m1(self):
         assert list(simulator.WIRE_MESSAGES.items()) == [("M1", M1), ("M2", M2), ("M3", M3), ("M4", M4)]
         assert M2._fields == (*M1._fields, "sid", "k_i", "m_i")
 
@@ -544,6 +543,15 @@ class TestGuessScenario:
         assert t.report.recovered == {"user_id": "alice", "password": "pw123"}
         assert t.report.work == 2  # second entry in SMALL_DICT
         assert t.result.expectations_met
+
+    def test_recovers_a_non_ascii_pair_as_written(self):
+        # a U+2028 in the password must survive both the report and a transcript round trip
+        entry = ("zoë", "päss\u2028wörd")
+        cfg = config("guess", seed=17, user_id=entry[0], password=entry[1], dictionary=(("bob", "x1"), entry))
+        t = run_scenario(cfg)
+        assert t.report.success
+        assert t.report.recovered == Transcript.from_jsonl(t.to_jsonl()).report.recovered == dict(
+            user_id=entry[0], password=entry[1])
 
     def test_missing_pair_reports_failure(self):
         cfg = config("guess", seed=15, dictionary=(("a", "b"), ("c", "d")))
