@@ -2,10 +2,12 @@
 
 Exit codes: 0 when the scenario ran and its expectations were met (for
 attack scenarios: the attack succeeded), 1 when expectations were violated,
-2 on usage or configuration errors.
+2 on usage or configuration errors and when a file or stdout cannot be read
+or written.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -130,14 +132,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # as stderr does, write what stdout cannot encode as escapes
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_verify(args)
+    try:
+        status = cmd_run(args) if args.command == "run" else cmd_verify(args)
+        sys.stdout.flush()
+        return status
+    except OSError as exc:  # stdout is a full device or a pipe with no reader
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail again
+        return 2
 
 
 if __name__ == "__main__":

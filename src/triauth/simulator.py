@@ -515,8 +515,7 @@ class _Run:
     Building it registers the victim.  It holds the event log, checks and
     outcomes; exchange and victim_session append each record as it happens,
     and view holds (payload, delivered message) of each event the adversary tapped or injected.
-    The config fixes what the channel adversary does: a mutation run flips
-    a byte of its target (message kind, field), and every other run only observes.
+    What the channel adversary does to a message is the move its scenario passes for it, if any.
     A verifying run is given expected, an iterator over its transcript's lines from the first event
     on, and logging an event whose line does not come next there raises _Diverged.
     """
@@ -524,7 +523,6 @@ class _Run:
     def __init__(self, cfg: ScenarioConfig, expected=None):
         self.cfg = cfg
         self.expected = expected
-        self.target_kind, self.target_field = MUTATION_TARGETS.get(cfg.mutation_target, (None, None))[:2]
         self.events: list[ChannelEvent] = []
         self.checks: list[CheckRecord] = []
         self.outcomes: list[PartyOutcome] = []
@@ -562,45 +560,44 @@ class _Run:
         self.log(0, "cs", party, "CardIssue", "secure", "none", concat(card.c_i, card.d_i, card.e_i, card.h_y))
         return card
 
-    def send(self, session: int, sender: str, receiver: str, kind: str, msg, injected: bool = False):
-        """Put a message on an open channel; returns the message as delivered."""
-        action = "injected" if injected else "none"
-        if not injected and (self.cfg.tap_server_cs_link or kind not in _SERVER_CS_KINDS):
-            action, msg = adversary_tap(msg, self.target_field if kind == self.target_kind else None, self.rng_adv)
+    def send(self, session: int, sender: str, receiver: str, kind: str, msg, move=None):
+        """Put a message on an open channel; returns the message as delivered.  The adversary's move
+        ("injected", sender, record) puts record on the wire from sender in the message's place, and
+        ("modified", field) flips one byte of its field; with no move, a tapped message is observed."""
+        match move:
+            case ("injected", sender, msg):
+                action = "injected"
+            case ("modified", field):
+                action, msg = adversary_tap(msg, field, self.rng_adv)
+            case None if self.cfg.tap_server_cs_link or kind not in _SERVER_CS_KINDS:
+                action, msg = adversary_tap(msg)
+            case None:
+                action = "none"
         payload = encode_message(kind, msg)
         self.log(session, sender, receiver, kind, "open", action, payload)
         if action != "none":
             self.view.append((payload, msg))
         return msg
 
-    def exchange(
-        self,
-        session: int,
-        m1: M1,
-        card_session: CardSession | None,
-        *,
-        user_party: str = "card",
-    ) -> dict[str, bytes]:
+    def exchange(self, session: int, m1: M1 | None, card_session: CardSession | None, moves: dict | None = None,
+                 *, user_party: str = "card") -> dict[str, bytes]:
         """Drive one M1..M4 exchange through _STEPS, recording checks and outcomes as they happen.
 
         Returns the session key of each receiver in _STEPS that reached one.
 
-        user_party holds the card and is "user" on the wire when it is the
-        victim's card.  It sends M1, or the adversary does when there is no
-        card session; an M1 that the user did not send is injected.  With no
+        moves maps a message kind to the adversary's move on it (see send); the
+        user sends M1 unless its move injects another.  user_party holds the
+        card and is "user" on the wire when it is the victim's card.  With no
         card session, M4 is sent and nobody checks it.
         """
         keys = {}
         states = self.states = {"card": card_session}
-        sender = "user" if user_party == "card" else user_party
-        if card_session is None:
-            sender = "adversary"
+        sender = "user"
         msg = m1
         for (kind, receiver, act, checks), aborts in zip(_STEPS, _STEP_ABORTS):
             party = user_party if receiver == "card" else receiver
             wire_receiver = "user" if party == "card" else party
-            injected = kind == "M1" and sender != "user"
-            msg = self.send(session, sender, wire_receiver, kind, msg, injected=injected)
+            msg = self.send(session, sender, wire_receiver, kind, msg, (moves or {}).get(kind))
             if receiver == "card" and card_session is None:
                 return keys
             failed = None
@@ -620,15 +617,15 @@ class _Run:
             sender = wire_receiver
         return keys
 
-    def victim_session(self, user_id: bytes, password: bytes) -> dict[str, bytes]:
-        """Session 1 from the victim's card; no keys if the card rejects the credentials."""
+    def victim_session(self, user_id: bytes, password: bytes, moves: dict | None = None) -> dict[str, bytes]:
+        """Session 1 from the victim's card, with the adversary's moves; no keys if the card rejects the credentials."""
         try:
             m1, card_session = card_login(self.card, user_id, password, self.sid, self.rng_user)
         except LocalCheckFailed:
             self.checks.append(CheckRecord(1, "card", "card_local_check", False))
             return {}
         self.checks.append(CheckRecord(1, "card", "card_local_check", True))
-        return self.exchange(1, m1, card_session)
+        return self.exchange(1, m1, card_session, moves)
 
 
 def _yes(flag: bool) -> str:
@@ -648,7 +645,7 @@ def _replay(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     run.victim_session(run.user_id, run.password)
     # Nothing in M1 binds it to a session, so the observed record, sent again byte for byte, passes again.
     captured = next(msg for _, msg in run.view if type(msg) is M1)
-    keys = run.exchange(2, captured, None)
+    keys = run.exchange(2, None, None, {"M1": ("injected", "adversary", captured)})
     accepted = "cs" in keys and "server" in keys
     knowledge = AdversaryKnowledge()
     for payload, msg in run.view:
@@ -669,7 +666,7 @@ def _masquerade(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     attacker_password = run.cfg.attacker_password.encode("utf-8")
     card = run.register("attacker", attacker_id, attacker_password, run.rng_attacker)
     m1, card_session = card_login(card, attacker_id, attacker_password, run.sid, run.rng_attacker)
-    keys = run.exchange(1, m1, card_session, user_party="attacker")
+    keys = run.exchange(1, m1, card_session, {"M1": ("injected", "attacker", m1)}, user_party="attacker")
     agree = keys_agree(keys)
     detail = (
         f"forged M1 accepted by CS: {_yes('cs' in keys)}; "
@@ -698,8 +695,8 @@ def _guess(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
 
 def _mutation(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     target = run.cfg.mutation_target
-    expected_abort, expected_party = MUTATION_TARGETS[target][2:]
-    run.victim_session(run.user_id, run.password)
+    kind, field, expected_abort, expected_party = MUTATION_TARGETS[target]
+    run.victim_session(run.user_id, run.password, {kind: ("modified", field)})
     abort = run.first_abort()
     expected = f"(expected {expected_abort} at {expected_party})"
     if abort:

@@ -28,6 +28,7 @@ from triauth import (
 )
 
 from triauth.attacks import GuessResult
+from triauth.simulator import _Run
 
 from helpers import count_calls, enroll_user, flip, honest_run
 from oracle import ref_concat, ref_guess, ref_h, ref_knows, ref_xor
@@ -322,6 +323,26 @@ class TestReplayLogin:
                     server_verify(secrets, later_n_i2, answer)
                 with pytest.raises(CSAuthFailed):  # M3 fails at the server
                     server_verify(secrets, later_n_i2, m3)
+
+    @pytest.mark.parametrize("kind, tap, abort, reached", [
+        ("M2", True, ("server", "CSAuthFailed"), {"cs"}),
+        ("M3", True, ("server", "CSAuthFailed"), {"cs"}),
+        ("M4", True, ("card", "CSAuthFailed"), {"cs", "server"}),
+        ("M4", False, ("card", "CSAuthFailed"), {"cs", "server"}),
+    ], ids=["M2", "M3", "M4-full-tap", "M4-user-link-only"])
+    def test_replay_matrix_as_recorded_runs(self, kind, tap, abort, reached):
+        """test_replay_matrix's M2, M3 and M4 rows as recorded runs: the adversary injects the victim's session-1
+        message of one kind into the card's next login, and the session-2 events and outcomes record the verdict."""
+        for seed in range(100):
+            run = _Run(ScenarioConfig(kind="replay", seed=seed, tap_server_cs_link=tap))
+            run.victim_session(run.user_id, run.password)
+            payload, captured = next((payload, msg) for payload, msg in run.view if type(msg).__name__ == kind)
+            m1, card_session = card_login(run.card, run.user_id, run.password, run.sid, run.rng_user)
+            keys = run.exchange(2, m1, card_session, {kind: ("injected", "adversary", captured)})
+            [event] = [e for e in run.events if e.session == 2 and e.kind == kind]
+            assert (event.sender, event.action, event.payload) == ("adversary", "injected", payload)
+            assert run.first_abort() == abort
+            assert keys.keys() == reached
 
 
 class TestLinkLogins:

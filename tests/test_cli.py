@@ -340,11 +340,11 @@ class TestStartUp:
 class TestModuleExit:
     # `python -m triauth.cli` passes main()'s return value to sys.exit, so the
     # process status is the command's status.
-    def _cli(self, *args, cwd):
+    def _cli(self, *args, cwd, stdout=subprocess.PIPE, **env):
         src = Path(__file__).resolve().parent.parent / "src"
         return subprocess.run(
-            [sys.executable, "-m", "triauth.cli", *args], cwd=cwd,
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            [sys.executable, "-m", "triauth.cli", *args], cwd=cwd, stdout=stdout, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src), **env), text=True,
         )
 
     def test_process_exits_with_the_command_status(self, tmp_path):
@@ -356,3 +356,27 @@ class TestModuleExit:
         assert self._cli("verify", "t.jsonl", cwd=tmp_path).returncode == 0
         assert self._cli("verify", "c.jsonl", cwd=tmp_path).returncode == 1
         assert self._cli("verify", "missing.jsonl", cwd=tmp_path).returncode == 2
+
+    @pytest.mark.parametrize("stdout", [
+        pytest.param("full device", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+        "closed pipe",
+    ])
+    def test_an_unwritable_stdout_exits_2_without_a_traceback(self, tmp_path, stdout):
+        if stdout == "full device":
+            fd = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, fd = os.pipe()
+            os.close(read_end)  # closed before the child starts, so its first write fails
+        try:
+            proc = self._cli("run", "honest", cwd=tmp_path, stdout=fd)
+        finally:
+            os.close(fd)
+        assert proc.returncode == 2
+        assert "error: cannot write output:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_stdout_escapes_what_its_encoding_cannot_write(self, tmp_path):
+        (tmp_path / "u.dict").write_text("bob\tx1\nzo\u00eb\tp\u00e4ssw\u00f6rd\n", encoding="utf-8")
+        proc = self._cli("run", "guess", "--dict", "u.dict", "--id", "zo\u00eb", "--password", "p\u00e4ssw\u00f6rd",
+                         cwd=tmp_path, PYTHONIOENCODING="ascii")
+        assert proc.returncode == 0, proc.stderr
+        assert "recovered credentials: zo\\xeb p\\xe4ssw\\xf6rd" in proc.stdout

@@ -980,17 +980,22 @@ class TestLinkRestriction:
         assert actions["M2"] == "none"
         assert actions["M3"] == "none"
 
-    @pytest.mark.parametrize("kind, user_link_view", [
-        ("honest", [(1, "M1", "observed"), (1, "M4", "observed")]),
-        ("replay", [(1, "M1", "observed"), (1, "M4", "observed"), (2, "M1", "injected"), (2, "M4", "observed")]),
+    @pytest.mark.parametrize("kind, extra, user_link_view", [
+        ("honest", {}, [(1, "user", "server", "M1", "observed"), (1, "server", "user", "M4", "observed")]),
+        ("replay", {}, [
+            (1, "user", "server", "M1", "observed"), (1, "server", "user", "M4", "observed"),
+            (2, "adversary", "server", "M1", "injected"), (2, "server", "user", "M4", "observed"),
+        ]),
+        ("masquerade", {}, [(1, "attacker", "server", "M1", "injected"), (1, "server", "attacker", "M4", "observed")]),
+        ("mutation", {"mutation_target": "m4.v_i"},
+         [(1, "user", "server", "M1", "observed"), (1, "server", "user", "M4", "modified")]),
     ])
-    def test_adversary_view_holds_what_it_tapped_or_injected(self, kind, user_link_view):
-        full = run_scenario(config(kind, seed=3))
+    def test_adversary_view_holds_what_it_tapped_or_injected(self, kind, extra, user_link_view):
+        full = run_scenario(config(kind, seed=3, **extra))
         assert full.adversary_view() == tuple(e for e in full.events if e.channel == "open")
-        restricted = run_scenario(config(kind, seed=3, tap_server_cs_link=False))
+        restricted = run_scenario(config(kind, seed=3, tap_server_cs_link=False, **extra))
         view = restricted.adversary_view()
-        assert [(e.session, e.kind, e.action) for e in view] == user_link_view
-        assert all("user" in (e.sender, e.receiver) or e.action == "injected" for e in view)
+        assert [(e.session, e.sender, e.receiver, e.kind, e.action) for e in view] == user_link_view
 
     @pytest.mark.parametrize("tap", [True, False], ids=["full-tap", "user-link-only"])
     @pytest.mark.parametrize("kind", KINDS)
