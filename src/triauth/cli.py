@@ -2,11 +2,12 @@
 
 Exit codes: 0 when the scenario ran and its expectations were met (for
 attack scenarios: the attack succeeded), 1 when expectations were violated,
-2 on usage or configuration errors and when a file or stdout cannot be read
-or written.
+2 on usage or configuration errors, when a file cannot be read or written,
+and when stdout or stderr cannot be written, --help included.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -37,8 +38,14 @@ _KIND_FLAGS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # argparse's own swallows a failed write
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triauth",
         description="Three-party smart-card authentication testbed: honest runs and attack demonstrations.",
     )
@@ -134,18 +141,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     if hasattr(sys.stdout, "reconfigure"):  # as stderr does, write what stdout cannot encode as escapes
         sys.stdout.reconfigure(errors="backslashreplace")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        status = cmd_run(args) if args.command == "run" else cmd_verify(args)
+        try:
+            args = _build_parser().parse_args(argv)
+            status = cmd_run(args) if args.command == "run" else cmd_verify(args)
+        except SystemExit as exc:  # argparse's exit after --help or a usage error
+            status = exc.code if isinstance(exc.code, int) else 2
         sys.stdout.flush()
+        sys.stderr.flush()
         return status
-    except OSError as exc:  # stdout is a full device or a pipe with no reader
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail again
+    except OSError as exc:  # stdout or stderr is a full device or a pipe with no reader
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        with open(os.devnull, "wb") as devnull:  # so the flushes at exit cannot fail again
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+            os.dup2(devnull.fileno(), sys.stderr.fileno())
         return 2
 
 

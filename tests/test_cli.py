@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triauth import KINDS, MUTATION_TARGETS, ConfigError, ScenarioConfig, run_scenario, verify_transcript
+from triauth import KINDS, MUTATION_TARGETS, ConfigError, ScenarioConfig, Transcript, run_scenario, verify_transcript
 from triauth.cli import main, summarize
 
 from make_golden import cases
@@ -93,10 +93,14 @@ class TestRunCommand:
 
     def test_guess_without_dict_is_usage_error(self, capsys):
         assert run_cli("run", "guess", "--seed", "1") == 2
-        assert "requires --dict" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: guess scenario requires --dict\n"
 
     def test_mutation_without_target_is_usage_error(self, capsys):
         assert run_cli("run", "mutation", "--seed", "1") == 2
+        assert capsys.readouterr().err == "error: mutation scenario requires --mutate-field\n"
+        # a target is matched as written, never lower-cased into another one
+        assert run_cli("run", "mutation", "--seed", "1", "--mutate-field", "M1.F_I") == 2
+        assert capsys.readouterr().err == "error: unknown mutation target: 'M1.F_I'\n"
 
     def test_empty_dictionary_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "empty.tsv"
@@ -235,17 +239,31 @@ class TestVerifyCommand:
         assert run_cli("verify", str(tmp_path / "absent.log")) == 2
 
     def test_verify_all_kinds_fresh(self, tmp_path, dict_file, capsys):
+        # u.dict starts with a byte-order mark, which must not join the first identity; only its 3 x 3 cross
+        # product holds the non-ASCII victim pair (zoë, pässwörd)
+        u_dict = tmp_path / "u.dict"
+        u_dict.write_text("\ufeffzo\u00eb\tx1\n\u0431\u043e\u0431\tp\u00e4ssw\u00f6rd\n\u674e\t\u5bc6\u7801\n",
+                          encoding="utf-8")
         cases = [
             ("honest", []),
             ("replay", []),
+            ("replay", ["--user-link-only"]),
             ("masquerade", []),
             ("guess", ["--dict", dict_file]),
+            ("guess", ["--dict", dict_file, "--cross"]),
+            ("guess", ["--dict", str(u_dict), "--cross", "--id", "zo\u00eb", "--password", "p\u00e4ssw\u00f6rd"]),
             ("mutation", ["--mutate-field", "m4.v_i"]),
+            # m2.cid_i is an M1 field that M2 forwards, so CS's user check must catch its flipped byte
+            ("mutation", ["--mutate-field", "m2.cid_i"]),
+            ("mutation", ["--mutate-field", "m3.t_i"]),
         ]
-        for kind, extra in cases:
-            out = str(tmp_path / f"{kind}.log")
-            assert run_cli("run", kind, "--seed", "5", "--out", out, *extra) == 0
-            assert run_cli("verify", out) == 0, kind
+        for i, (kind, extra) in enumerate(cases):
+            out = tmp_path / f"{i}.log"
+            assert run_cli("run", kind, "--seed", "5", "--out", str(out), *extra) == 0, extra
+            assert run_cli("verify", str(out)) == 0, extra
+            # between them the runs write every record type and adversary action, each read back as written
+            text = out.read_bytes().decode("utf-8")
+            assert Transcript.from_jsonl(text).to_jsonl() == text, extra
 
 
 # Flags whose text is fuzzed.  --out and --dict are left out, so no file is written or read.
@@ -337,42 +355,64 @@ class TestStartUp:
         assert child.stdout == "[]\n"
 
 
+# PYTHONUNBUFFERED set and removed: a buffered stream fails at its flush, an unbuffered one at its first write
+BUFFERING = pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+
+
 class TestModuleExit:
     # `python -m triauth.cli` passes main()'s return value to sys.exit, so the
     # process status is the command's status.
-    def _cli(self, *args, cwd, stdout=subprocess.PIPE, **env):
+    def _cli(self, *args, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
+        """Run the module in a child process; an env value of None removes that variable."""
         src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in (os.environ | {"PYTHONPATH": str(src)} | env).items() if v is not None}
         return subprocess.run(
-            [sys.executable, "-m", "triauth.cli", *args], cwd=cwd, stdout=stdout, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(src), **env), text=True,
+            [sys.executable, "-m", "triauth.cli", *args], cwd=cwd, stdout=stdout, stderr=stderr, env=env, text=True,
         )
 
-    def test_process_exits_with_the_command_status(self, tmp_path):
-        assert self._cli("run", "honest", "--out", "t.jsonl", cwd=tmp_path).returncode == 0
+    @BUFFERING
+    def test_process_exits_with_the_command_status(self, tmp_path, unbuffered):
+        assert self._cli("run", "honest", "--out", "t.jsonl", cwd=tmp_path, PYTHONUNBUFFERED=unbuffered).returncode == 0
         text = (tmp_path / "t.jsonl").read_text(encoding="utf-8")
         marker = '"payload":"'
         pos = text.index(marker) + len(marker)
         (tmp_path / "c.jsonl").write_text(text[:pos] + ("0" if text[pos] != "0" else "1") + text[pos + 1:], encoding="utf-8")
-        assert self._cli("verify", "t.jsonl", cwd=tmp_path).returncode == 0
-        assert self._cli("verify", "c.jsonl", cwd=tmp_path).returncode == 1
-        assert self._cli("verify", "missing.jsonl", cwd=tmp_path).returncode == 2
+        assert self._cli("verify", "t.jsonl", cwd=tmp_path, PYTHONUNBUFFERED=unbuffered).returncode == 0
+        assert self._cli("verify", "c.jsonl", cwd=tmp_path, PYTHONUNBUFFERED=unbuffered).returncode == 1
+        assert self._cli("verify", "missing.jsonl", cwd=tmp_path, PYTHONUNBUFFERED=unbuffered).returncode == 2
+        usage = self._cli("--help", cwd=tmp_path, PYTHONUNBUFFERED=unbuffered)
+        assert usage.returncode == 0 and usage.stdout.startswith("usage: triauth ")
+        if os.path.exists("/dev/full"):  # a run that writes nothing to stderr never fails on a full one
+            with open("/dev/full", "w") as full:
+                proc = self._cli("run", "honest", cwd=tmp_path, stderr=full, PYTHONUNBUFFERED=unbuffered)
+            assert proc.returncode == 0
 
-    @pytest.mark.parametrize("stdout", [
+    @BUFFERING
+    @pytest.mark.parametrize("stream, args", [
+        ("stdout", ["run", "honest"]),
+        ("stdout", ["--help"]),
+        ("stdout", ["run", "--help"]),
+        ("stderr", ["run", "nope"]),
+        ("stderr", ["verify", "missing.jsonl"]),
+    ])
+    @pytest.mark.parametrize("device", [
         pytest.param("full device", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
         "closed pipe",
     ])
-    def test_an_unwritable_stdout_exits_2_without_a_traceback(self, tmp_path, stdout):
-        if stdout == "full device":
+    def test_an_unwritable_stdout_exits_2_without_a_traceback(self, tmp_path, device, stream, args, unbuffered):
+        if device == "full device":
             fd = os.open("/dev/full", os.O_WRONLY)
         else:
             read_end, fd = os.pipe()
             os.close(read_end)  # closed before the child starts, so its first write fails
         try:
-            proc = self._cli("run", "honest", cwd=tmp_path, stdout=fd)
+            proc = self._cli(*args, cwd=tmp_path, **{stream: fd}, PYTHONUNBUFFERED=unbuffered)
         finally:
             os.close(fd)
+        # a traceback would exit 1, and a failed flush at interpreter exit 120
         assert proc.returncode == 2
-        assert "error: cannot write output:" in proc.stderr and "Traceback" not in proc.stderr
+        if stream == "stdout":
+            assert proc.stderr.startswith("error: cannot write output:") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_stdout_escapes_what_its_encoding_cannot_write(self, tmp_path):
         (tmp_path / "u.dict").write_text("bob\tx1\nzo\u00eb\tp\u00e4ssw\u00f6rd\n", encoding="utf-8")

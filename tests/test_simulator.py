@@ -709,6 +709,9 @@ class TestVerifyTranscript:
             "entry not UTF-8": {**good, "config": {**good["config"], "dictionary": [["a", "\udcff"]]}},
             "dictionary a string": {**good, "config": {**good["config"], "dictionary": "ab"}},
             "dictionary an object": {**good, "config": {**good["config"], "dictionary": {"a": "b"}}},
+            "config an array": {**good, "config": []},
+            "config a string": {**good, "config": "honest"},
+            "config null": {**good, "config": None},
         }
         for name, header in damaged.items():
             text = "".join([json.dumps(header) + "\n", *lines[1:]])
@@ -717,6 +720,10 @@ class TestVerifyTranscript:
                 Transcript.from_jsonl(text)
         text = "".join([json.dumps(damaged["unknown header key"]) + "\n", *lines[1:]])
         assert verify_transcript(text) == (2, "malformed transcript: unknown header key: 'zzz'")
+        text = "".join([json.dumps(damaged["config null"]) + "\n", *lines[1:]])
+        assert verify_transcript(text) == (2, "malformed transcript: config must be an object")
+        with pytest.raises(TranscriptFormatError, match="^line 1: bad record: config must be an object$"):
+            Transcript.from_jsonl(text)
         # a mutation target is matched as written, never lower-cased into another header's run
         lines = run_scenario(config("mutation", seed=34, mutation_target="m1.f_i")).to_jsonl().splitlines(keepends=True)
         text = "".join([lines[0].replace('"m1.f_i"', '"M1.F_I"'), *lines[1:]])
