@@ -92,7 +92,8 @@ class AdversaryKnowledge:
         self._seen: set[bytes] = set()
 
     def observe(self, *values: bytes) -> None:
-        self._seen.update(map(bytes, values))
+        """Add values, each a bytes object, to the observed set as given."""
+        self._seen.update(values)
 
     def knows(self, target: bytes, preimage: bytes | None = None) -> bool:
         if preimage is not None and hash_bytes(preimage) != target:
@@ -107,7 +108,7 @@ class AdversaryKnowledge:
         if any(target):
             width, t = len(target), int.from_bytes(target, "big")
             ints = {int.from_bytes(a, "big") for a in seen if len(a) == width}
-            if any((i ^ t) in ints for i in ints):
+            if not ints.isdisjoint(map(t.__xor__, ints)):
                 return True
         try:
             a, b = split_concat(preimage or b"")  # no preimage: no parts

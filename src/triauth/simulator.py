@@ -16,6 +16,7 @@ final result record.
 import json
 from json.encoder import encode_basestring_ascii
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple, get_args, get_origin
 
 from .actors import (
@@ -192,9 +193,15 @@ class ScenarioConfig(NamedTuple):
         if type(entries := data.get("dictionary")) is list:
             data = data | {"dictionary": tuple(tuple(e) if type(e) is list else e for e in entries)}
         try:
-            return cls(**data)
+            # By position when every field is given, as in every header a run writes; the keywords raise
+            # the class's own error for any other key set.
+            return cls(*_CONFIG_VALUES(data)) if data.keys() == _CONFIG_KEYS else cls(**data)
         except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
+
+
+_CONFIG_KEYS = frozenset(ScenarioConfig._fields)
+_CONFIG_VALUES = itemgetter(*ScenarioConfig._fields)
 
 
 # --- wire encoding -------------------------------------------------------
@@ -321,8 +328,8 @@ class _Codec:
     holds untagged, writes null and is read by ScenarioConfig.from_dict.
     decode() rejects a value whose class is not the field's declared type,
     so every decoded object can be written again by line().  line() is
-    compiled from the field spec when the codec is built; decode() walks
-    the JSON object once.
+    compiled from the field spec when the codec is built; decode() builds
+    the record by position when its JSON object holds every field.
     """
 
     def __init__(self, cls, tag: str | None = None):
@@ -330,18 +337,30 @@ class _Codec:
         self.tag = tag
         self._spec = [(name, _field_types(t)) for name, t in cls.__annotations__.items()]  # (name, classes) in order
         self._hex = [name for name, types in self._spec if bytes in types]
+        self._hex_at = [cls._fields.index(name) for name in self._hex]
         self._allowed = frozenset(product(*(types for _, types in self._spec)))  # each allowed tuple of field classes
+        # A record whose line holds every field is built by position: the JSON scanner makes fresh key strings,
+        # which a keyword call must match to the parameter names by comparing their text.
+        self._keys = frozenset({*cls._fields, "record"})
+        self._values = itemgetter(*cls._fields)
         self.line = _compile_line(self)
 
     def decode(self, record: dict):
         """Build the tagged record from its JSON object.  Raises the first of: a bad hex string, an unknown or
         missing key (in the class's own words) or a value the class rejects, then a field of another class."""
-        kwargs = dict(record)
-        del kwargs["record"]
-        for name in self._hex:
-            if kwargs.get(name) is not None:
-                kwargs[name] = bytes.fromhex(kwargs[name])
-        obj = self.cls(**kwargs)
+        if record.keys() == self._keys:
+            values = [*self._values(record)]
+            for i in self._hex_at:
+                if values[i] is not None:
+                    values[i] = bytes.fromhex(values[i])
+            obj = self.cls(*values)
+        else:  # an outcome's line, which leaves out its None field, or a key set the class rejects in its own words
+            kwargs = dict(record)
+            del kwargs["record"]
+            for name in self._hex:
+                if kwargs.get(name) is not None:
+                    kwargs[name] = bytes.fromhex(kwargs[name])
+            obj = self.cls(**kwargs)
         if tuple(map(type, obj)) not in self._allowed:
             name, types, value = next((name, types, value) for (name, types), value in zip(self._spec, obj)
                                       if type(value) not in types)
@@ -366,6 +385,12 @@ _RANK = {tag: rank for rank, tag in enumerate(_BY_TAG)}  # the order in which to
 
 def _loads(line: str, lineno: int) -> dict:
     """The JSON object on one line, past any JSON whitespace around it."""
+    try:  # the line every record writes: an object from the first character to the last
+        record, end = _JSON_IN.scan_once(line, 0)
+        if end == len(line) and type(record) is dict:
+            return record
+    except (StopIteration, ValueError):  # no JSON value at the first character, or a bad one: decode reports it
+        pass
     try:
         record = _JSON_IN.decode(line)
     except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
@@ -648,8 +673,7 @@ def _replay(run: _Run) -> tuple[ScenarioResult, int | None, dict | None]:
     keys = run.exchange(2, None, None, {"M1": ("injected", "adversary", captured)})
     accepted = "cs" in keys and "server" in keys
     knowledge = AdversaryKnowledge()
-    for payload, msg in run.view:
-        knowledge.observe(payload, *msg)
+    knowledge.observe(*[value for payload, msg in run.view for value in (payload, *msg)])
     # CS's session-2 key is h(h_ab || nonce_xor); knows() reads that preimage.
     knows_sk = "cs" in keys and knowledge.knows(keys["cs"], concat(run.states["cs"].h_ab, run.states["cs"].nonce_xor))
     detail = (

@@ -447,6 +447,7 @@ def decoded(decode, codec, data):
 OUTCOME = {"record": "outcome", "session": 1, "party": "cs", "sk": "00ff"}
 EVENT = {"record": "event", "step": 0, "session": 0, "sender": "user", "receiver": "cs", "kind": "M1",
          "channel": "secure", "action": "none", "payload": "00ff"}
+CHECK = {"record": "check", "session": 1, "party": "cs", "check": "cs_verifies_user", "ok": True}
 
 
 class TestReaderProperty:
@@ -455,6 +456,11 @@ class TestReaderProperty:
     @example((simulator._BY_TAG["outcome"], OUTCOME | {"bogus": 1}))
     @example((simulator._BY_TAG["outcome"], {"session_key" if k == "sk" else k: v for k, v in OUTCOME.items()}))
     @example((simulator._BY_TAG["event"], EVENT | {"payload": None}))
+    @example((simulator._BY_TAG["event"], dict(reversed(EVENT.items()))))
+    @example((simulator._BY_TAG["outcome"], {k: v for k, v in OUTCOME.items() if k != "sk"}))
+    @example((simulator._BY_TAG["outcome"], OUTCOME | {"abort": "CSAuthFailed"}))
+    @example((simulator._BY_TAG["check"], {k: v for k, v in CHECK.items() if k != "ok"}))
+    @example((simulator._BY_TAG["event"], EVENT | {"payload": 7}))
     def test_compiled_reader_matches_the_reference(self, codec_object):
         codec, data = codec_object
         assert decoded(lambda c, d: c.decode(d), codec, data) == decoded(reference_decode, codec, data)
@@ -740,6 +746,27 @@ class TestVerifyTranscript:
             with pytest.raises(TranscriptFormatError):
                 Transcript.from_jsonl(edited)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: dict(reversed(data.items())), None),
+        (lambda data: {k: v for k, v in data.items() if k != "seed"},
+         "bad config: ScenarioConfig.__new__() missing 1 required positional argument: 'seed'"),
+        (lambda data: data | {"bogus": 1}, "bad config: ScenarioConfig.__new__() got an unexpected keyword argument 'bogus'"),
+    ], ids=["keys reversed", "seed missing", "extra key"])
+    def test_header_config_of_another_key_order_or_set(self, edit, message):
+        # a config is the same in any key order, and one without exactly its ten keys fails in the class's words
+        text = run_scenario(config("guess", seed=34)).to_jsonl()
+        header, rest = text.split("\n", 1)
+        record = json.loads(header)
+        record["config"] = edit(record["config"])
+        edited = json.dumps(record, separators=(",", ":")) + "\n" + rest
+        if message is None:
+            assert Transcript.from_jsonl(edited) == Transcript.from_jsonl(text)
+            assert verify_transcript(edited) == (1, "transcript inconsistent: differs from deterministic re-run")
+            return
+        assert verify_transcript(edited) == (2, f"malformed transcript: {message}")
+        with pytest.raises(TranscriptFormatError, match=f"^line 1: bad record: {re.escape(message)}$"):
+            Transcript.from_jsonl(edited)
+
     @pytest.mark.parametrize("kind, field, value, message", [
         ("honest", "seed", True, "seed must be an integer"),
         ("honest", "tap_server_cs_link", 1, "tap_server_cs_link must be a boolean"),
@@ -884,6 +911,16 @@ class TestVerifyTranscript:
         header, rest = run_scenario(config("honest", seed=3)).to_jsonl().split("\n", 1)
         with pytest.raises(TranscriptFormatError, match=f"^line 2 {re.escape(expected)}$"):
             Transcript.from_jsonl(f"{header}\n{line}\n{rest}")
+
+    @pytest.mark.parametrize("edit", [lambda line: " " + line, lambda line: line + "\r"],
+                             ids=["leading space", "trailing CR"])
+    def test_a_record_line_with_json_whitespace_around_it(self, edit):
+        # JSON whitespace around a line's object leaves its record as it is
+        text = run_scenario(config("honest", seed=3)).to_jsonl()
+        lines = text.split("\n")
+        check = next(i for i, line in enumerate(lines) if '"record":"check"' in line)
+        lines[check] = edit(lines[check])
+        assert Transcript.from_jsonl("\n".join(lines)) == Transcript.from_jsonl(text)
 
 
 @st.composite
