@@ -53,7 +53,6 @@ from .simulator import (
     ScenarioConfig,
     Transcript,
     TranscriptFormatError,
-    adversary_tap,
     decode_message,
     encode_message,
     flip_byte,

@@ -110,7 +110,7 @@ def summarize(transcript: Transcript) -> list[str]:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     transcript = run_scenario(cfg)

@@ -389,11 +389,11 @@ def _loads(line: str, lineno: int) -> dict:
         record, end = _JSON_IN.scan_once(line, 0)
         if end == len(line) and type(record) is dict:
             return record
-    except (StopIteration, ValueError):  # no JSON value at the first character, or a bad one: decode reports it
+    except (StopIteration, ValueError, RecursionError):  # no JSON value at the start, or a bad one: decode says
         pass
     try:
         record = _JSON_IN.decode(line)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer past the digit limit, or nesting
         raise TranscriptFormatError(f"line {lineno} is not JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise TranscriptFormatError(f"line {lineno} is not a JSON object")
@@ -473,12 +473,14 @@ class Transcript(NamedTuple):
                     continue
                 record = _loads(line, lineno)
                 tag = record.get("record")
-                if tag not in _BY_TAG:
-                    raise TranscriptFormatError(f"line {lineno}: unknown record type: {tag!r}")
+                try:
+                    codec = _BY_TAG[tag]
+                except (KeyError, TypeError):  # TypeError: a JSON array or object is no hashable tag
+                    raise TranscriptFormatError(f"line {lineno}: unknown record type: {tag!r}") from None
                 # events, checks, outcomes, at most one report, then the one result
                 if last is not None and (_RANK[tag] < _RANK[last] or tag == last in ("report", "result")):
                     raise TranscriptFormatError(f"line {lineno}: {tag} record after the {last} record")
-                found[tag].append(_BY_TAG[tag].decode(record))
+                found[tag].append(codec.decode(record))
                 last = tag
         except TranscriptFormatError:
             raise
@@ -517,14 +519,6 @@ def flip_byte(data: bytes, rng: BlockRng) -> bytes:
     pos = int.from_bytes(block[:4], "big") % len(data)
     mask = block[4] % 255 + 1
     return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
-
-
-def adversary_tap(msg, field: str | None = None, rng: BlockRng | None = None):
-    """The in-flight message as the adversary passes it on, with its action:
-    ("observed", msg), or ("modified", msg with one byte of its field `field` flipped by rng)."""
-    if field is None:
-        return "observed", msg
-    return "modified", msg._replace(**{field: flip_byte(getattr(msg, field), rng)})
 
 
 # --- scenario execution ---------------------------------------------------
@@ -592,10 +586,11 @@ class _Run:
         match move:
             case ("injected", sender, msg):
                 action = "injected"
-            case ("modified", field):
-                action, msg = adversary_tap(msg, field, self.rng_adv)
+            case ("modified", field):  # _replace rebuilds the record through its checked __new__
+                action = "modified"
+                msg = msg._replace(**{field: flip_byte(getattr(msg, field), self.rng_adv)})
             case None if self.cfg.tap_server_cs_link or kind not in _SERVER_CS_KINDS:
-                action, msg = adversary_tap(msg)
+                action = "observed"
             case None:
                 action = "none"
         payload = encode_message(kind, msg)

@@ -230,10 +230,13 @@ class TestVerifyCommand:
         assert verify_transcript(copy.read_bytes().decode("utf-8"))[0] == 1
         assert run_cli("verify", str(copy)) == 1
 
-    def test_malformed_file_is_status_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["definitely { not jsonl\n", "[" * 100_000 + "\n"],
+                             ids=["not JSON", "nested too deep"])
+    def test_malformed_file_is_status_two(self, text, tmp_path, capsys):
         bad = tmp_path / "bad.log"
-        bad.write_text("definitely { not jsonl\n", encoding="utf-8")
+        bad.write_text(text, encoding="utf-8")
         assert run_cli("verify", str(bad)) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_file_is_status_two(self, tmp_path, capsys):
         assert run_cli("verify", str(tmp_path / "absent.log")) == 2

@@ -26,7 +26,6 @@ from triauth import (
     SmartCard,
     Transcript,
     TranscriptFormatError,
-    adversary_tap,
     decode_message,
     encode_message,
     flip_byte,
@@ -41,6 +40,14 @@ from make_golden import cases
 
 
 SMALL_DICT = (("bob", "x1"), ("alice", "pw123"), ("eve", "z9"))
+DEEP = "[" * 100_000  # nested past any interpreter's recursion limit, the C one of Python 3.12+ too
+
+
+def recursion_error(line):
+    """What the JSON decoder says of a line nested too deep to decode."""
+    with pytest.raises(RecursionError) as info:
+        json.loads(line)
+    return str(info.value)
 
 
 def config(kind, seed=1, **kw):
@@ -632,19 +639,21 @@ class TestMutationScenario:
 
 class TestAdversaryTap:
     def test_passive_marks_observed(self):
-        run = honest_run(seed=23)
-        action, passed_on = adversary_tap(run.m1)
-        assert action == "observed"
-        assert passed_on is run.m1
+        m1 = honest_run(seed=23).m1
+        run = simulator._Run(config("honest", seed=23))
+        passed_on = run.send(1, "user", "cs", "M1", m1)
+        assert run.events[-1].action == "observed"
+        assert passed_on is m1
 
     def test_modify_policy_changes_exactly_the_target_field(self):
-        run = honest_run(seed=26)
-        action, mutated = adversary_tap(run.m1, "g_i", BlockRng(26, "adv"))
-        assert action == "modified"
+        m1 = honest_run(seed=26).m1
+        run = simulator._Run(config("mutation", seed=26, mutation_target="m1.g_i"))
+        mutated = run.send(1, "user", "cs", "M1", m1, ("modified", "g_i"))
+        assert run.events[-1].action == "modified"
         assert type(mutated) is M1
-        assert [name for name in M1._fields if getattr(mutated, name) != getattr(run.m1, name)] == ["g_i"]
-        assert mutated.g_i == flip_byte(run.m1.g_i, BlockRng(26, "adv"))
-        original, modified = encode_message("M1", run.m1), encode_message("M1", mutated)
+        assert [name for name in M1._fields if getattr(mutated, name) != getattr(m1, name)] == ["g_i"]
+        assert mutated.g_i == flip_byte(m1.g_i, BlockRng(26, "adversary"))
+        original, modified = encode_message("M1", m1), encode_message("M1", mutated)
         assert len(modified) == len(original)
         assert sum(a != b for a, b in zip(original, modified)) == 1
         with pytest.raises(ValueError, match="^cannot flip a byte of empty data$"):
@@ -868,6 +877,8 @@ class TestVerifyTranscript:
     @pytest.mark.parametrize("old, new, message", [
         ('"step":3}', '"step":"3"}', "bad record: step must be int, not str"),
         ('"record":"check"', '"record":"note"', "unknown record type: 'note'"),
+        ('"record":"check"', '"record":["check"]', re.escape("unknown record type: ['check']")),
+        ('"record":"check"', '"record":{"a":1}', re.escape("unknown record type: {'a': 1}")),
     ])
     def test_record_errors_count_blank_lines(self, old, new, message):
         lines = run_scenario(config("honest", seed=32)).to_jsonl().replace(old, new, 1).split("\n")
@@ -880,7 +891,8 @@ class TestVerifyTranscript:
         ("\n", "empty transcript"),
         (" \t\r\n", "empty transcript"),
         ("\x0c\n", "line 1 is not JSON: Expecting value: line 1 column 1 (char 0)"),
-    ], ids=["blank line", "JSON whitespace", "form feed"])
+        (DEEP + "\n", f"line 1 is not JSON: {recursion_error(DEEP)}"),
+    ], ids=["blank line", "JSON whitespace", "form feed", "nested too deep"])
     def test_header_is_line_1(self, before, message):
         # verify reads line 1 as the header, so from_jsonl must too
         text = before + run_scenario(config("honest", seed=3)).to_jsonl()
@@ -900,13 +912,13 @@ class TestVerifyTranscript:
         assert Transcript.from_jsonl(edited) == Transcript.from_jsonl(text)
         assert verify_transcript(edited)[0] == 1
 
-    @pytest.mark.parametrize("line", ["\x0c", ' {"record":"check"} x', "\t tru", '{"a":1}}', " [1]"],
-                             ids=["form feed", "extra data", "bad literal", "extra brace", "array"])
+    @pytest.mark.parametrize("line", ["\x0c", ' {"record":"check"} x', "\t tru", '{"a":1}}', " [1]", DEEP],
+                             ids=["form feed", "extra data", "bad literal", "extra brace", "array", "nested too deep"])
     def test_a_line_that_is_not_a_json_object(self, line):
         # only JSON whitespace makes a line blank, and an error's position is the one the JSON decoder gives
         try:
             expected = "is not a JSON object" if type(json.loads(line)) is not dict else None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             expected = f"is not JSON: {exc}"
         header, rest = run_scenario(config("honest", seed=3)).to_jsonl().split("\n", 1)
         with pytest.raises(TranscriptFormatError, match=f"^line 2 {re.escape(expected)}$"):
